@@ -24,9 +24,10 @@
 //! * `trace_store/replay_from_zero` / `seek_to_time` — time travel to
 //!   the end of a long deterministic run: re-executing the whole
 //!   session from t = 0 versus restoring the nearest persisted
-//!   full-state checkpoint (4096-entry cadence, the
-//!   `PersistConfig::checkpoint_interval` default) and replaying only
-//!   the O(interval) tail; comparison row `seek_vs_replay_from_zero`.
+//!   full-state checkpoint image (taken every 256 entries: the
+//!   `checkpoint_stride` of the `PersistConfig::checkpoint_interval`
+//!   default of 4096) and replaying only the O(stride)
+//!   tail; comparison row `seek_vs_replay_from_zero`.
 //!
 //! Persists `BENCH_trace.json` at the repo root — regenerate with
 //! `cargo bench -p gmdf-bench --bench trace_store`. With
@@ -35,7 +36,9 @@
 
 use criterion::{criterion_group, Criterion};
 use gmdf_bench::report::{repo_root, report_from, write_report, Comparison};
-use gmdf_engine::store::{Codec, MemStore, Retention, SegmentConfig, SegmentStore, TraceStore};
+use gmdf_engine::store::{
+    checkpoint_stride, Codec, MemStore, Retention, SegmentConfig, SegmentStore, TraceStore,
+};
 use gmdf_engine::{ExecutionTrace, TraceEntry};
 use gmdf_gdm::{EventKind, EventValue, ModelEvent, ReactionSpec};
 use std::hint::black_box;
@@ -196,6 +199,9 @@ fn bench_store(c: &mut Criterion) {
 /// default (`PersistConfig::checkpoint_interval`).
 const CKPT_INTERVAL: u64 = 4096;
 
+/// Entries between checkpoint images, as a durable session takes them.
+const CKPT_STRIDE: u64 = checkpoint_stride(CKPT_INTERVAL);
+
 /// A busy ring session for the time-travel rows: one trace entry every
 /// ~100 µs of target time, so `trace_len()` entries span seconds of
 /// deterministic re-execution.
@@ -255,10 +261,10 @@ fn seek_session() -> gmdf::DebugSession {
 /// Time travel to the end of a long run: full deterministic re-execution
 /// from t = 0 versus nearest-checkpoint restore (JSON image parse +
 /// state restore, as the durable-session seek path pays it) plus an
-/// O(interval) replay of the tail.
+/// O(stride) replay of the tail.
 fn bench_time_travel(c: &mut Criterion) {
     let n = trace_len();
-    // The reference run, imaged every `CKPT_INTERVAL` entries the same
+    // The reference run, imaged every `CKPT_STRIDE` entries the same
     // way the durable-session pump does (checked at slice boundaries).
     let mut reference = seek_session();
     let mut images: Vec<(u64, String)> = Vec::new();
@@ -266,7 +272,7 @@ fn bench_time_travel(c: &mut Criterion) {
     while (reference.engine().trace().len() as u64) < n {
         reference.run_for(10_000_000).expect("reference run");
         let len = reference.engine().trace().len() as u64;
-        if len.saturating_sub(last) >= CKPT_INTERVAL {
+        if len.saturating_sub(last) >= CKPT_STRIDE {
             let image = reference.save_state();
             images.push((image.t_ns(), serde_json::to_string(&image).expect("image")));
             last = len;
@@ -398,7 +404,7 @@ fn seek_comparison(results: &[criterion::BenchResult]) -> Comparison {
     let optimized_ns = median_of("seek_to_time");
     let speedup = baseline_ns / optimized_ns;
     eprintln!(
-        "[trace_store] seek over {} entries at {CKPT_INTERVAL}-entry checkpoints: \
+        "[trace_store] seek over {} entries at {CKPT_STRIDE}-entry checkpoint images: \
          from-zero {:.1} ms, checkpointed {:.1} ms ({speedup:.0}x)",
         trace_len(),
         baseline_ns / 1e6,

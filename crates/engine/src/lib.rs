@@ -59,7 +59,7 @@ pub use expect::{allowed_transitions, Expectation, ExpectationMonitor, Violation
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, RecentSeries, StoreMetrics};
 pub use replay::{timing_diagram, Replayer};
 pub use store::{
-    CheckpointMeta, CheckpointStore, Codec, MaintenanceReport, MemStore, OffsetMemStore, Retention,
-    SegmentConfig, SegmentStore, StoreError, StoreStats, TraceStore,
+    checkpoint_stride, CheckpointMeta, CheckpointStore, Codec, MaintenanceReport, MemStore,
+    OffsetMemStore, Retention, SegmentConfig, SegmentStore, StoreError, StoreStats, TraceStore,
 };
 pub use trace::{ExecutionTrace, TraceEntry};

@@ -49,7 +49,7 @@ use gmdf_gdm::{EventKind, EventValue, ModelEvent, ReactionSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// A trace storage failure (I/O, corrupt metadata…).
@@ -1572,47 +1572,104 @@ impl TraceStore for SegmentStore {
 // CheckpointStore
 // ---------------------------------------------------------------------------
 
-/// Checkpoint-file magic: the first 4 bytes of every `.ck` file.
-const CKPT_MAGIC: [u8; 4] = *b"GCP1";
+/// Magic of the original one-image checkpoint file — still opened, as
+/// a file holding a single image.
+const CKPT1_MAGIC: [u8; 4] = *b"GCP1";
+
+/// Magic of the multi-image checkpoint file every commit writes.
+const CKPT2_MAGIC: [u8; 4] = *b"GCP2";
 
 /// Codec tag byte after the magic. Only JSON exists today; the tag is
 /// in the file (not a sidecar) so future codecs can coexist in one
 /// directory, exactly like segment stores record theirs in `meta.json`.
 const CKPT_CODEC_JSON: u8 = 0;
 
-/// Index entry for one retained checkpoint file.
+/// `GCP2` header: magic, codec tag, `u32` BE image count.
+const CKPT2_HEADER: usize = 9;
+
+/// One `GCP2` index entry: `seq` u64, `t_ns` u64, payload offset u64,
+/// payload length u32, CRC32C u32 — all big-endian.
+const CKPT2_ENTRY: usize = 32;
+
+/// Checkpoint images per committed file. Sixteen images cost about as
+/// much CPU (state capture + JSON) as the one fsync they share.
+const CHECKPOINT_IMAGES_PER_FILE: u64 = 16;
+
+/// Trace entries between checkpoint images for a checkpoint file every
+/// `interval` entries. A durable session images its full state every
+/// stride but fsyncs one file per interval, so a seek replays at most
+/// one stride (plus a pump slice) while the number of fsync'd files
+/// stays one per interval.
+pub const fn checkpoint_stride(interval: u64) -> u64 {
+    interval.div_ceil(CHECKPOINT_IMAGES_PER_FILE)
+}
+
+/// Index entry for one checkpoint image — committed or staged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointMeta {
     /// Trace length (next sequence number) at the checkpoint instant.
     pub seq: u64,
     /// Simulation time of the checkpoint instant.
     pub t_ns: u64,
-    /// On-disk size of the checkpoint file.
+    /// Size of the image's payload.
     pub bytes: u64,
 }
 
-/// A directory of full-state checkpoints keyed by `(seq, t_ns)` — the
-/// anchor points O(interval) time travel restores and replays from.
+/// Where one indexed image's payload lives. Files are named after
+/// their newest image's `(seq, t_ns)`.
+#[derive(Debug)]
+enum ImageSlot {
+    /// Held in memory since the last commit.
+    Staged(Vec<u8>),
+    /// Inside the `GCP2` file `file`, at `offset`, guarded by `crc`.
+    Committed {
+        file: (u64, u64),
+        offset: u64,
+        crc: u32,
+    },
+    /// The single frame of the `GCP1` file `file`.
+    OneImage { file: (u64, u64) },
+}
+
+/// A directory of full-state checkpoint images keyed by `(seq, t_ns)` —
+/// the anchor points time travel restores and replays from.
 ///
-/// Layout: one file per checkpoint,
-/// `ckpt-<seq:016>-<t_ns:020>.ck`, holding `GCP1` magic, a codec tag
-/// byte, and one `[u32 len BE][payload]` frame (the same framing as
-/// segments, journals and the wire). The payload is opaque to the
-/// store — the debug server puts a serialized session checkpoint
-/// there.
+/// Layout: one file per commit, `ckpt-<seq:016>-<t_ns:020>.ck`, named
+/// after its newest image:
+///
+/// ```text
+/// "GCP2" | codec u8 | count u32
+/// count × [seq u64 | t_ns u64 | offset u64 | len u32 | crc32c u32]
+/// payload 0 | payload 1 | …            (contiguous, to end of file)
+/// ```
+///
+/// All integers are big-endian; each CRC32C covers the image's `seq`,
+/// `t_ns` and payload, so a flipped bit in an index entry or a payload
+/// is caught, not restored. The payload is opaque to the store — the
+/// debug server puts a serialized session checkpoint there. `GCP1`
+/// files (magic, codec tag, one `[u32 len BE][payload]` frame, keyed by
+/// the file name) still open as one-image files.
+///
+/// [`stage`](Self::stage) indexes an image in memory, where it answers
+/// [`load`](Self::load) at once; [`commit`](Self::commit) writes every
+/// staged image into one file. A crash loses only staged images, which
+/// are accelerators: the seek falls back to an older one.
 ///
 /// **Crash safety**: writes go to a `.tmp` sibling, fsync, then rename
 /// — a kill at any byte leaves either the previous directory contents
 /// (the `.tmp` is deleted on the next open) or the complete new file.
-/// Opening validates every file's magic, tag and frame length and
-/// deletes damaged ones, so a seek never anchors on a torn checkpoint:
-/// it falls back to the previous one (or to replay from zero).
+/// Opening validates every file's structure and every image's CRC and
+/// deletes damaged files whole, so a seek never anchors on a torn or
+/// flipped image: it falls back to an older one (or to replay from
+/// zero). [`load`](Self::load) re-checks the CRC of what it reads.
 #[derive(Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
-    /// Ascending by `seq` (and by `t_ns` — simulation time and trace
-    /// length grow together).
+    /// Every image, ascending by `seq` (and by `t_ns` — simulation time
+    /// and trace length grow together).
     metas: Vec<CheckpointMeta>,
+    /// Where each of `metas`' images lives, index for index.
+    slots: Vec<ImageSlot>,
 }
 
 impl CheckpointStore {
@@ -1625,7 +1682,7 @@ impl CheckpointStore {
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let mut metas = Vec::new();
+        let mut images: Vec<(CheckpointMeta, ImageSlot)> = Vec::new();
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;
             let name = entry.file_name();
@@ -1634,24 +1691,21 @@ impl CheckpointStore {
                 std::fs::remove_file(entry.path())?;
                 continue;
             }
-            let Some((seq, t_ns)) = parse_checkpoint_name(name) else {
+            let Some(file) = parse_checkpoint_name(name) else {
                 continue;
             };
             let bytes = std::fs::read(entry.path())?;
-            if validate_checkpoint(&bytes).is_none() {
-                // A torn or corrupt checkpoint must never anchor a
-                // seek — remove it so the index only holds usable ones.
-                std::fs::remove_file(entry.path())?;
-                continue;
+            match parse_checkpoint_file(file, &bytes) {
+                Some(found) => images.extend(found),
+                // A torn or corrupt file must never anchor a seek —
+                // remove it so the index only holds usable images.
+                None => std::fs::remove_file(entry.path())?,
             }
-            metas.push(CheckpointMeta {
-                seq,
-                t_ns,
-                bytes: bytes.len() as u64,
-            });
         }
-        metas.sort_by_key(|m| (m.seq, m.t_ns));
-        Ok(CheckpointStore { dir, metas })
+        images.sort_by_key(|(m, _)| (m.seq, m.t_ns));
+        images.dedup_by_key(|(m, _)| (m.seq, m.t_ns));
+        let (metas, slots) = images.into_iter().unzip();
+        Ok(CheckpointStore { dir, metas, slots })
     }
 
     /// The store's directory.
@@ -1659,72 +1713,141 @@ impl CheckpointStore {
         &self.dir
     }
 
-    /// Retained checkpoints, ascending by sequence.
+    /// Every indexed image (committed and staged), ascending by
+    /// sequence.
     pub fn metas(&self) -> &[CheckpointMeta] {
         &self.metas
     }
 
-    /// Number of retained checkpoints.
+    /// Number of indexed images.
     pub fn len(&self) -> usize {
         self.metas.len()
     }
 
-    /// `true` when no checkpoint is retained.
+    /// `true` when no image is indexed.
     pub fn is_empty(&self) -> bool {
         self.metas.is_empty()
     }
 
-    /// Trace position of the oldest retained checkpoint — what the
-    /// trace store's retain floor is pinned to.
-    pub fn oldest_seq(&self) -> Option<u64> {
-        self.metas.first().map(|m| m.seq)
+    /// Trace position of the oldest committed file — the `seq` of its
+    /// newest image, which names it. This is what the trace store's
+    /// retain floor is pinned to: one durable anchor per interval, as
+    /// when every file held a single image.
+    pub fn oldest_file_seq(&self) -> Option<u64> {
+        // Files hold disjoint runs of images, so the first committed
+        // slot belongs to the oldest file.
+        self.slots.iter().find_map(|slot| match slot {
+            ImageSlot::Committed { file, .. } | ImageSlot::OneImage { file } => Some(file.0),
+            ImageSlot::Staged(_) => None,
+        })
     }
 
-    /// The newest retained checkpoint.
+    /// The newest indexed image.
     pub fn latest(&self) -> Option<CheckpointMeta> {
         self.metas.last().copied()
     }
 
-    /// The newest checkpoint taken at or before simulation time
-    /// `t_ns` — the anchor for `SeekTo{t_ns}`.
+    /// The newest image taken at or before simulation time `t_ns` —
+    /// the anchor for `SeekTo{t_ns}`.
     pub fn nearest_at_or_before_time(&self, t_ns: u64) -> Option<CheckpointMeta> {
         let pos = self.metas.partition_point(|m| m.t_ns <= t_ns);
         pos.checked_sub(1).map(|i| self.metas[i])
     }
 
-    /// The newest checkpoint taken strictly before `t_ns` — the anchor
-    /// for `ReplayWindow{t0,..}`, which must *regenerate* (not skip)
+    /// The newest image taken strictly before `t_ns` — the anchor for
+    /// `ReplayWindow{t0,..}`, which must *regenerate* (not skip)
     /// entries at exactly `t0`.
     pub fn nearest_before_time(&self, t_ns: u64) -> Option<CheckpointMeta> {
         let pos = self.metas.partition_point(|m| m.t_ns < t_ns);
         pos.checked_sub(1).map(|i| self.metas[i])
     }
 
-    /// The newest checkpoint whose trace position is at or below
-    /// `seq` — the anchor for `StepBack`.
+    /// The newest image whose trace position is at or below `seq` —
+    /// the anchor for `StepBack`.
     pub fn nearest_at_or_before_seq(&self, seq: u64) -> Option<CheckpointMeta> {
         let pos = self.metas.partition_point(|m| m.seq <= seq);
         pos.checked_sub(1).map(|i| self.metas[i])
     }
 
-    fn path_for(&self, seq: u64, t_ns: u64) -> PathBuf {
+    fn path_for(&self, (seq, t_ns): (u64, u64)) -> PathBuf {
         self.dir.join(format!("ckpt-{seq:016}-{t_ns:020}.ck"))
     }
 
-    /// Persists one checkpoint payload under `(seq, t_ns)` crash-safely
-    /// (write `.tmp`, fsync, rename). Returns the file size written.
+    /// Index of the image keyed `(seq, t_ns)`, or where it belongs.
+    fn position(&self, seq: u64, t_ns: u64) -> Result<usize, usize> {
+        self.metas
+            .binary_search_by_key(&(seq, t_ns), |m| (m.seq, m.t_ns))
+    }
+
+    /// Indexes one image payload under `(seq, t_ns)` in memory, where
+    /// it answers [`load`](Self::load) at once; the next
+    /// [`commit`](Self::commit) writes it to disk. Replaces an image
+    /// already indexed under the same key.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures and rejects payloads over the `u32`
-    /// frame limit.
-    pub fn save(&mut self, seq: u64, t_ns: u64, payload: &[u8]) -> Result<u64, StoreError> {
-        let mut image = Vec::with_capacity(9 + payload.len());
-        image.extend_from_slice(&CKPT_MAGIC);
+    /// Rejects payloads over the `u32` length limit.
+    pub fn stage(&mut self, seq: u64, t_ns: u64, payload: Vec<u8>) -> Result<(), StoreError> {
+        frame_len(payload.len())?;
+        let meta = CheckpointMeta {
+            seq,
+            t_ns,
+            bytes: payload.len() as u64,
+        };
+        match self.position(seq, t_ns) {
+            Ok(i) => {
+                self.metas[i] = meta;
+                self.slots[i] = ImageSlot::Staged(payload);
+            }
+            Err(i) => {
+                self.metas.insert(i, meta);
+                self.slots.insert(i, ImageSlot::Staged(payload));
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes every staged image into one `GCP2` file crash-safely
+    /// (write `.tmp`, fsync, rename), named after the newest staged
+    /// image. Returns the file size written (0 with nothing staged).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures; the images then stay staged.
+    pub fn commit(&mut self) -> Result<u64, StoreError> {
+        let staged: Vec<(usize, &[u8])> = (self.slots.iter().enumerate())
+            .filter_map(|(i, slot)| match slot {
+                ImageSlot::Staged(payload) => Some((i, payload.as_slice())),
+                _ => None,
+            })
+            .collect();
+        let Some(&(newest, _)) = staged.last() else {
+            return Ok(0);
+        };
+        let count = u32::try_from(staged.len())
+            .map_err(|_| StoreError::new("too many staged checkpoint images"))?;
+        let mut index = Vec::with_capacity(staged.len());
+        let mut image = Vec::new();
+        image.extend_from_slice(&CKPT2_MAGIC);
         image.push(CKPT_CODEC_JSON);
-        image.extend_from_slice(&frame_len(payload.len())?);
-        image.extend_from_slice(payload);
-        let path = self.path_for(seq, t_ns);
+        image.extend_from_slice(&count.to_be_bytes());
+        let mut offset = (CKPT2_HEADER + staged.len() * CKPT2_ENTRY) as u64;
+        for &(i, payload) in &staged {
+            let CheckpointMeta { seq, t_ns, bytes } = self.metas[i];
+            let crc = image_crc(seq, t_ns, payload);
+            image.extend_from_slice(&seq.to_be_bytes());
+            image.extend_from_slice(&t_ns.to_be_bytes());
+            image.extend_from_slice(&offset.to_be_bytes());
+            image.extend_from_slice(&frame_len(payload.len())?);
+            image.extend_from_slice(&crc.to_be_bytes());
+            index.push((i, offset, crc));
+            offset += bytes;
+        }
+        for &(_, payload) in &staged {
+            image.extend_from_slice(payload);
+        }
+        let file = (self.metas[newest].seq, self.metas[newest].t_ns);
+        let path = self.path_for(file);
         let tmp = path.with_extension("ck.tmp");
         {
             let mut f = File::create(&tmp)?;
@@ -1732,41 +1855,63 @@ impl CheckpointStore {
             f.sync_data()?;
         }
         std::fs::rename(&tmp, &path)?;
-        match self
-            .metas
-            .iter()
-            .position(|m| m.seq == seq && m.t_ns == t_ns)
-        {
-            Some(i) => self.metas[i].bytes = image.len() as u64,
-            None => {
-                self.metas.push(CheckpointMeta {
-                    seq,
-                    t_ns,
-                    bytes: image.len() as u64,
-                });
-                self.metas.sort_by_key(|m| (m.seq, m.t_ns));
-            }
+        for (i, offset, crc) in index {
+            self.slots[i] = ImageSlot::Committed { file, offset, crc };
         }
         Ok(image.len() as u64)
     }
 
-    /// Loads and validates the checkpoint at `(meta.seq, meta.t_ns)`,
-    /// returning its payload bytes.
+    /// Stages one image and commits it (with anything staged before it)
+    /// — a one-call crash-safe save. Returns the file size written.
     ///
     /// # Errors
     ///
-    /// I/O failures, and validation failures (bad magic, unknown codec
-    /// tag, torn frame) — callers fall back to an older checkpoint.
+    /// Propagates I/O failures and rejects payloads over the `u32`
+    /// length limit.
+    pub fn save(&mut self, seq: u64, t_ns: u64, payload: &[u8]) -> Result<u64, StoreError> {
+        self.stage(seq, t_ns, payload.to_vec())?;
+        self.commit()
+    }
+
+    /// Loads the image at `(meta.seq, meta.t_ns)` — from memory when
+    /// staged, else from its file with the CRC re-checked.
+    ///
+    /// # Errors
+    ///
+    /// An unindexed key, I/O failures, and validation failures (CRC
+    /// mismatch, torn file) — callers fall back to an older image.
     pub fn load(&self, meta: &CheckpointMeta) -> Result<Vec<u8>, StoreError> {
-        let bytes = std::fs::read(self.path_for(meta.seq, meta.t_ns))?;
-        validate_checkpoint(&bytes)
-            .map(<[u8]>::to_vec)
-            .ok_or_else(|| {
-                StoreError::new(format!(
-                    "checkpoint at seq {} (t={} ns) is damaged",
-                    meta.seq, meta.t_ns
-                ))
-            })
+        let damaged = || {
+            StoreError::new(format!(
+                "checkpoint at seq {} (t={} ns) is damaged",
+                meta.seq, meta.t_ns
+            ))
+        };
+        let i = self.position(meta.seq, meta.t_ns).map_err(|_| {
+            StoreError::new(format!(
+                "no checkpoint at seq {} (t={} ns)",
+                meta.seq, meta.t_ns
+            ))
+        })?;
+        let bytes = self.metas[i].bytes;
+        match &self.slots[i] {
+            ImageSlot::Staged(payload) => Ok(payload.clone()),
+            ImageSlot::Committed { file, offset, crc } => {
+                let mut f = File::open(self.path_for(*file))?;
+                f.seek(SeekFrom::Start(*offset))?;
+                let mut payload = vec![0; bytes as usize];
+                f.read_exact(&mut payload).map_err(|_| damaged())?;
+                (image_crc(meta.seq, meta.t_ns, &payload) == *crc)
+                    .then_some(payload)
+                    .ok_or_else(damaged)
+            }
+            ImageSlot::OneImage { file } => {
+                let image = std::fs::read(self.path_for(*file))?;
+                validate_gcp1(&image)
+                    .map(<[u8]>::to_vec)
+                    .ok_or_else(damaged)
+            }
+        }
     }
 }
 
@@ -1777,15 +1922,103 @@ fn parse_checkpoint_name(name: &str) -> Option<(u64, u64)> {
     Some((seq.parse().ok()?, t_ns.parse().ok()?))
 }
 
-/// Checks a checkpoint file image (magic, codec tag, exact frame
-/// length) and returns the payload slice when whole.
-fn validate_checkpoint(bytes: &[u8]) -> Option<&[u8]> {
-    if bytes.len() < 9 || bytes[..4] != CKPT_MAGIC || bytes[4] != CKPT_CODEC_JSON {
+/// Checks a `GCP1` file image (magic, codec tag, exact frame length)
+/// and returns the payload slice when whole.
+fn validate_gcp1(bytes: &[u8]) -> Option<&[u8]> {
+    if bytes.len() < 9 || bytes[..4] != CKPT1_MAGIC || bytes[4] != CKPT_CODEC_JSON {
         return None;
     }
     let len = u32::from_be_bytes(bytes[5..9].try_into().ok()?) as usize;
     let payload = &bytes[9..];
     (payload.len() == len).then_some(payload)
+}
+
+/// Indexes the images of the checkpoint file named `file` — a `GCP1`
+/// file is one image keyed by its name — or `None` when any part of it
+/// is damaged: a bad header, an index entry or payload out of bounds,
+/// payloads that do not exactly tile the rest of the file, or a CRC
+/// mismatch. A damaged file is rejected whole.
+fn parse_checkpoint_file(
+    file: (u64, u64),
+    bytes: &[u8],
+) -> Option<Vec<(CheckpointMeta, ImageSlot)>> {
+    if bytes.get(..4)? == CKPT1_MAGIC {
+        let payload = validate_gcp1(bytes)?;
+        let meta = CheckpointMeta {
+            seq: file.0,
+            t_ns: file.1,
+            bytes: payload.len() as u64,
+        };
+        return Some(vec![(meta, ImageSlot::OneImage { file })]);
+    }
+    if bytes.len() < CKPT2_HEADER || bytes[..4] != CKPT2_MAGIC || bytes[4] != CKPT_CODEC_JSON {
+        return None;
+    }
+    let be64 = |at: usize| u64::from_be_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    let be32 = |at: usize| u32::from_be_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+    let count = be32(5) as usize;
+    let mut end = CKPT2_HEADER.checked_add(count.checked_mul(CKPT2_ENTRY)?)?;
+    if count == 0 || end > bytes.len() {
+        return None;
+    }
+    let mut images = Vec::with_capacity(count);
+    for k in 0..count {
+        let at = CKPT2_HEADER + k * CKPT2_ENTRY;
+        let (seq, t_ns, offset) = (be64(at), be64(at + 8), be64(at + 16));
+        let (len, crc) = (be32(at + 24) as usize, be32(at + 28));
+        let payload_end = usize::try_from(offset).ok()?.checked_add(len)?;
+        if offset != end as u64 || payload_end > bytes.len() {
+            return None;
+        }
+        if image_crc(seq, t_ns, &bytes[end..payload_end]) != crc {
+            return None;
+        }
+        end = payload_end;
+        let meta = CheckpointMeta {
+            seq,
+            t_ns,
+            bytes: len as u64,
+        };
+        images.push((meta, ImageSlot::Committed { file, offset, crc }));
+    }
+    (end == bytes.len()).then_some(images)
+}
+
+/// The CRC32C a `GCP2` index entry carries for one image: over its
+/// big-endian `seq` and `t_ns`, then its payload.
+fn image_crc(seq: u64, t_ns: u64, payload: &[u8]) -> u32 {
+    let crc = crc32c_update(!0, &seq.to_be_bytes());
+    let crc = crc32c_update(crc, &t_ns.to_be_bytes());
+    !crc32c_update(crc, payload)
+}
+
+/// Reflected CRC32C (Castagnoli, polynomial `0x82F63B78`) lookup table.
+const CRC32C_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 == 1 {
+                (c >> 1) ^ 0x82F6_3B78
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// Feeds `bytes` into a running (pre-inverted) CRC32C register.
+fn crc32c_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        crc = CRC32C_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc
 }
 
 #[cfg(test)]
@@ -2391,9 +2624,10 @@ mod tests {
         for (seq, t) in [(10u64, 1000u64), (20, 2000), (30, 3000)] {
             let payload = format!("{{\"seq\":{seq}}}");
             let written = c.save(seq, t, payload.as_bytes()).unwrap();
-            assert_eq!(written, 9 + payload.len() as u64);
+            // One-image GCP2 file: header, one index entry, payload.
+            assert_eq!(written, (CKPT2_HEADER + CKPT2_ENTRY + payload.len()) as u64);
         }
-        assert_eq!(c.oldest_seq(), Some(10));
+        assert_eq!(c.oldest_file_seq(), Some(10));
         assert_eq!(c.latest().unwrap().seq, 30);
         // Selection semantics.
         assert_eq!(c.nearest_at_or_before_time(2000).unwrap().seq, 20);
@@ -2407,6 +2641,116 @@ mod tests {
         assert_eq!(c2.metas(), c.metas());
         let meta = c2.nearest_at_or_before_time(2500).unwrap();
         assert_eq!(c2.load(&meta).unwrap(), b"{\"seq\":20}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn crc32c_matches_the_castagnoli_check_value() {
+        assert_eq!(!crc32c_update(!0, b"123456789"), 0xE306_9283);
+    }
+
+    /// Writes 4 staged images plus a boundary image as one file and
+    /// returns the store and the payloads by `(seq, t_ns)`.
+    fn multi_image_store(dir: &Path) -> (CheckpointStore, Vec<(CheckpointMeta, Vec<u8>)>) {
+        let mut c = CheckpointStore::open(dir).unwrap();
+        let mut images = Vec::new();
+        for k in 1..=5u64 {
+            let payload = format!(
+                "{{\"image\":{k},\"pad\":\"{}\"}}",
+                "x".repeat(k as usize * 3)
+            )
+            .into_bytes();
+            let meta = CheckpointMeta {
+                seq: 10 * k,
+                t_ns: 1000 * k,
+                bytes: payload.len() as u64,
+            };
+            if k < 5 {
+                c.stage(meta.seq, meta.t_ns, payload.clone()).unwrap();
+            } else {
+                c.save(meta.seq, meta.t_ns, &payload).unwrap();
+            }
+            images.push((meta, payload));
+        }
+        (c, images)
+    }
+
+    #[test]
+    fn staged_images_answer_at_once_and_commit_as_one_file() {
+        let dir = tmp_dir("ckpt-staged");
+        let mut c = CheckpointStore::open(&dir).unwrap();
+        c.stage(10, 1000, b"staged-a".to_vec()).unwrap();
+        c.stage(20, 2000, b"staged-b".to_vec()).unwrap();
+        assert_eq!(c.len(), 2);
+        let meta = c.nearest_at_or_before_time(1500).unwrap();
+        assert_eq!(c.load(&meta).unwrap(), b"staged-a", "served from memory");
+        // Nothing is on disk until the commit; a reopen loses the
+        // staged images harmlessly.
+        assert!(CheckpointStore::open(&dir).unwrap().is_empty());
+        let written = c.commit().unwrap();
+        assert_eq!(written, (CKPT2_HEADER + 2 * CKPT2_ENTRY + 16) as u64);
+        assert_eq!(c.commit().unwrap(), 0, "nothing left to commit");
+        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(files.len(), 1, "one file per commit");
+        let reopened = CheckpointStore::open(&dir).unwrap();
+        assert_eq!(reopened.metas(), c.metas());
+        for meta in reopened.metas() {
+            assert_eq!(reopened.load(meta).unwrap(), c.load(meta).unwrap());
+        }
+        // The next commit holds only what was staged after this one.
+        c.stage(30, 3000, b"staged-c".to_vec()).unwrap();
+        assert_eq!(c.commit().unwrap(), (CKPT2_HEADER + CKPT2_ENTRY + 8) as u64);
+        assert_eq!(CheckpointStore::open(&dir).unwrap().len(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn gcp1_files_open_as_one_image_files() {
+        let dir = tmp_dir("ckpt-gcp1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let payload = b"{\"legacy\":true}";
+        let mut file = CKPT1_MAGIC.to_vec();
+        file.push(CKPT_CODEC_JSON);
+        file.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        file.extend_from_slice(payload);
+        std::fs::write(dir.join(format!("ckpt-{:016}-{:020}.ck", 7, 700)), &file).unwrap();
+        let mut c = CheckpointStore::open(&dir).unwrap();
+        c.save(14, 1400, b"new").unwrap();
+        assert_eq!(c.len(), 2);
+        let old = c.nearest_at_or_before_time(1000).unwrap();
+        assert_eq!((old.seq, old.t_ns), (7, 700));
+        assert_eq!(c.load(&old).unwrap(), payload);
+        let c = CheckpointStore::open(&dir).unwrap();
+        assert_eq!(c.len(), 2, "GCP1 and GCP2 files coexist");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A flipped byte anywhere in a multi-image file never yields a
+    /// different image: reopening drops the damaged file whole, and a
+    /// flip made after the open fails the CRC check on load.
+    #[test]
+    fn flipped_bytes_never_load_a_different_image() {
+        let dir = tmp_dir("ckpt-flip");
+        let (live, images) = multi_image_store(&dir);
+        let path = dir.join(format!("ckpt-{:016}-{:020}.ck", 50, 5000));
+        let intact = std::fs::read(&path).unwrap();
+        for at in (0..intact.len()).step_by(7) {
+            let mut damaged = intact.clone();
+            damaged[at] ^= 0x5A;
+            // Damage under an open store: load re-checks what it reads.
+            std::fs::write(&path, &damaged).unwrap();
+            for (meta, payload) in &images {
+                if let Ok(bytes) = live.load(meta) {
+                    assert_eq!(&bytes, payload, "flip at {at} loaded a different image");
+                }
+            }
+            // Damage found at open: the file is rejected and deleted.
+            let c = CheckpointStore::open(&dir).unwrap();
+            assert!(c.is_empty(), "flip at {at} left {} images", c.len());
+            assert!(!path.exists(), "flip at {at}: damaged file swept");
+        }
+        std::fs::write(&path, &intact).unwrap();
+        assert_eq!(CheckpointStore::open(&dir).unwrap().len(), images.len());
         std::fs::remove_dir_all(&dir).ok();
     }
 

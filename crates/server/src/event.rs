@@ -155,8 +155,8 @@ pub struct SeekReport {
     /// target.
     pub replayed_commands: u64,
     /// Trace entries the replica regenerated on the way to the target.
-    /// This is the seek's cost — bounded by the checkpoint interval,
-    /// not by the trace length.
+    /// This is the seek's cost — bounded by the checkpoint stride plus
+    /// one pump slice, not by the trace length.
     pub replayed_entries: u64,
     /// The replica's trace length at the target instant (persisted
     /// prefix plus regenerated entries).

@@ -167,19 +167,31 @@ pub struct MetricsRegistry {
     /// Wall nanoseconds per journal append **including the fsync** —
     /// the slowest thing on a durable session's command path.
     pub journal_append_ns: Histogram,
-    /// Full-state checkpoints written (durable sessions).
+    /// Checkpoint files committed (durable sessions) — one fsync each.
     pub checkpoint_writes: Counter,
-    /// Total checkpoint payload bytes written.
+    /// Checkpoint images taken (staged or committed); several share
+    /// each committed file.
+    pub checkpoint_images: Counter,
+    /// Total checkpoint file bytes written.
     pub checkpoint_bytes: Counter,
     /// Checkpoint images loaded back during time-travel seeks.
     pub checkpoint_restores: Counter,
-    /// Wall nanoseconds per checkpoint write (serialize + fsync +
+    /// Wall nanoseconds per checkpoint file commit (write + fsync +
     /// rename) — the periodic cost a durable session pays for
     /// O(interval) seeks.
     pub checkpoint_write_ns: Histogram,
     /// Wall nanoseconds per checkpoint load during a seek (read +
     /// parse), excluding the replay that follows.
     pub checkpoint_restore_ns: Histogram,
+    /// Wall nanoseconds per served `SeekTo` request.
+    pub seek_to_ns: Histogram,
+    /// Wall nanoseconds per served `StepBack` request.
+    pub step_back_ns: Histogram,
+    /// Wall nanoseconds per served `ReplayWindow` request.
+    pub replay_window_ns: Histogram,
+    /// Trace entries each time-travel replica regenerated past its
+    /// checkpoint — the replay tail the checkpoint stride bounds.
+    pub replayed_entries: Histogram,
     /// Wire-layer counters.
     pub wire: WireMetrics,
     /// Recent (timestamp, events-fed) samples, one per pumped slice —
@@ -210,10 +222,15 @@ impl MetricsRegistry {
             journal_appends: Counter::new(),
             journal_append_ns: Histogram::new(),
             checkpoint_writes: Counter::new(),
+            checkpoint_images: Counter::new(),
             checkpoint_bytes: Counter::new(),
             checkpoint_restores: Counter::new(),
             checkpoint_write_ns: Histogram::new(),
             checkpoint_restore_ns: Histogram::new(),
+            seek_to_ns: Histogram::new(),
+            step_back_ns: Histogram::new(),
+            replay_window_ns: Histogram::new(),
+            replayed_entries: Histogram::new(),
             wire: WireMetrics::default(),
             events_recent: RecentSeries::new(256),
         }
@@ -406,16 +423,31 @@ pub struct FleetMetrics {
     pub journal_appends: u64,
     /// Journal append+fsync latency.
     pub journal_append_ns: HistogramSnapshot,
-    /// Full-state checkpoints written.
+    /// Checkpoint files committed (one fsync each).
     pub checkpoint_writes: u64,
-    /// Total checkpoint payload bytes written.
+    /// Checkpoint images taken (staged or committed).
+    #[serde(default)]
+    pub checkpoint_images: u64,
+    /// Total checkpoint file bytes written.
     pub checkpoint_bytes: u64,
     /// Checkpoint images loaded back by time-travel seeks.
     pub checkpoint_restores: u64,
-    /// Checkpoint write latency (serialize + fsync + rename).
+    /// Checkpoint file commit latency (write + fsync + rename).
     pub checkpoint_write_ns: HistogramSnapshot,
     /// Checkpoint load latency during seeks (read + parse).
     pub checkpoint_restore_ns: HistogramSnapshot,
+    /// `SeekTo` request latency.
+    #[serde(default)]
+    pub seek_to_ns: HistogramSnapshot,
+    /// `StepBack` request latency.
+    #[serde(default)]
+    pub step_back_ns: HistogramSnapshot,
+    /// `ReplayWindow` request latency.
+    #[serde(default)]
+    pub replay_window_ns: HistogramSnapshot,
+    /// Trace entries regenerated per time-travel replica.
+    #[serde(default)]
+    pub replayed_entries: HistogramSnapshot,
     /// Live wire connections.
     pub wire_connections: u64,
     /// Wire frames written.
@@ -504,6 +536,7 @@ impl MetricsSnapshot {
         counter("gmdf_store_reads_total", f.store_reads);
         counter("gmdf_journal_appends_total", f.journal_appends);
         counter("gmdf_checkpoint_writes_total", f.checkpoint_writes);
+        counter("gmdf_checkpoint_images_total", f.checkpoint_images);
         counter("gmdf_checkpoint_bytes", f.checkpoint_bytes);
         counter("gmdf_checkpoint_restores_total", f.checkpoint_restores);
         counter("gmdf_wire_frames_tx_total", f.wire_frames_tx);
@@ -540,6 +573,10 @@ impl MetricsSnapshot {
         histo("gmdf_journal_append_ns", &f.journal_append_ns);
         histo("gmdf_checkpoint_write_ns", &f.checkpoint_write_ns);
         histo("gmdf_checkpoint_restore_ns", &f.checkpoint_restore_ns);
+        histo("gmdf_seek_to_ns", &f.seek_to_ns);
+        histo("gmdf_step_back_ns", &f.step_back_ns);
+        histo("gmdf_replay_window_ns", &f.replay_window_ns);
+        histo("gmdf_replayed_entries", &f.replayed_entries);
         for c in &f.wire_conns {
             let id = c.connection;
             out.push_str(&format!(
@@ -651,10 +688,15 @@ pub(crate) fn fleet_skeleton(registry: &MetricsRegistry) -> FleetMetrics {
         journal_appends: registry.journal_appends.get(),
         journal_append_ns: registry.journal_append_ns.snapshot(),
         checkpoint_writes: registry.checkpoint_writes.get(),
+        checkpoint_images: registry.checkpoint_images.get(),
         checkpoint_bytes: registry.checkpoint_bytes.get(),
         checkpoint_restores: registry.checkpoint_restores.get(),
         checkpoint_write_ns: registry.checkpoint_write_ns.snapshot(),
         checkpoint_restore_ns: registry.checkpoint_restore_ns.snapshot(),
+        seek_to_ns: registry.seek_to_ns.snapshot(),
+        step_back_ns: registry.step_back_ns.snapshot(),
+        replay_window_ns: registry.replay_window_ns.snapshot(),
+        replayed_entries: registry.replayed_entries.snapshot(),
         wire_connections: registry.wire.connections.get(),
         wire_frames_tx: registry.wire.frames_tx.get(),
         wire_frames_rx: registry.wire.frames_rx.get(),

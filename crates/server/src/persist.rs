@@ -188,6 +188,8 @@ pub(crate) fn persisted_ids(root: &Path) -> Vec<u64> {
 /// scheduler.
 #[derive(Debug)]
 pub(crate) struct RestoredSession {
+    /// The parsed `spec.json` the session was rebuilt from.
+    pub spec: SessionSpec,
     pub session: DebugSession,
     pub notices: mpsc::Receiver<EngineNotice>,
     pub journal: Journal,
@@ -316,6 +318,7 @@ pub(crate) fn restore_session(
     let trace_cursor = session.engine().trace().len() as u64;
     let journal = Journal::open(&journal_path).map_err(|e| e.to_string())?;
     Ok(RestoredSession {
+        spec,
         session,
         notices,
         journal,

@@ -23,7 +23,7 @@
 
 use crate::event::{EngineEvent, SeekReport, SessionSnapshot, TraceSlice};
 use crate::metrics::{
-    self, Counter, HealthState, MetricsRegistry, MetricsSnapshot, QuarantinedSession,
+    self, Counter, HealthState, Histogram, MetricsRegistry, MetricsSnapshot, QuarantinedSession,
     SessionHealth, SessionInfo,
 };
 use crate::persist;
@@ -33,8 +33,8 @@ use gmdf_analyze::AnalysisReport;
 use gmdf_comdes::SignalValue;
 use gmdf_engine::store::DEFAULT_SEGMENT_CAPACITY;
 use gmdf_engine::{
-    CheckpointMeta, CheckpointStore, Codec, EngineNotice, ExecutionTrace, MemStore, OffsetMemStore,
-    Retention, SegmentConfig, StoreError, TraceEntry,
+    checkpoint_stride, CheckpointMeta, CheckpointStore, Codec, EngineNotice, ExecutionTrace,
+    MemStore, OffsetMemStore, Retention, SegmentConfig, StoreError, TraceEntry,
 };
 use gmdf_gdm::CommandMatcher;
 use std::collections::VecDeque;
@@ -125,18 +125,22 @@ pub struct PersistConfig {
     pub compact_interval: Duration,
     /// Full-state checkpoint cadence, in trace entries: after a pumped
     /// slice, a durable session whose trace grew by at least this many
-    /// entries since the last checkpoint writes a new one
-    /// (crash-safely, next to its journal). Checkpoints are what make
+    /// entries since the last checkpoint file commits a new one
+    /// (crash-safely, next to its journal). In between it images its
+    /// state every `interval / 16` entries (the stride) and stages the
+    /// images in memory; each file holds the images staged since the
+    /// previous one. Checkpoints are what make
     /// [`SessionCommand::SeekTo`] / [`SessionCommand::StepBack`] /
-    /// [`SessionCommand::ReplayWindow`] O(interval) instead of
+    /// [`SessionCommand::ReplayWindow`] O(stride) instead of
     /// O(whole trace). `0` disables checkpointing (seeks fall back to
     /// replay-from-zero).
     pub checkpoint_interval: u64,
 }
 
-/// Default [`PersistConfig::checkpoint_interval`]: frequent enough
-/// that a seek replays at most a few thousand entries, rare enough
-/// that checkpoint serialization stays far off the pump's hot path.
+/// Default [`PersistConfig::checkpoint_interval`]: one fsync'd file
+/// per 4096 entries keeps checkpoint writes far off the pump's hot
+/// path, and its 256-entry stride bounds a seek's replay to a few
+/// hundred entries.
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 4096;
 
 impl PersistConfig {
@@ -291,9 +295,9 @@ pub enum SessionCommand {
     },
     /// Reply with a [`SeekReport`] for the session's state at target
     /// time `t_ns` (clamped to the live clock). The server restores the
-    /// nearest persisted checkpoint at or before the target into a
+    /// nearest checkpoint image at or before the target into a
     /// detached replica and deterministically replays it forward —
-    /// O(checkpoint interval), not O(trace length). The live session is
+    /// O(checkpoint stride), not O(trace length). The live session is
     /// never touched. Requires a durable session; a seek failure is
     /// reported on the reply channel, never by failing the session.
     SeekTo {
@@ -385,18 +389,25 @@ struct SessionInner {
     /// position a checkpoint records as its
     /// [`persist::ServerCheckpoint::journal_pos`].
     journal_len: u64,
-    /// Periodic full-state checkpoints for O(interval) time travel;
+    /// Periodic full-state checkpoint images (committed and staged) for
+    /// O(stride) time travel;
     /// `None` for in-memory sessions (and for durable sessions whose
     /// checkpoint directory failed to open on restore — seeks then fall
     /// back to replay-from-zero).
     checkpoints: Option<CheckpointStore>,
-    /// Trace entries between checkpoints; `0` disables checkpointing.
+    /// Trace entries between checkpoint files; `0` disables
+    /// checkpointing.
     checkpoint_interval: u64,
-    /// Trace length at the last written checkpoint.
+    /// Trace length at the last committed checkpoint file.
     last_checkpoint_len: u64,
+    /// Trace length at the last checkpoint image (staged or committed).
+    last_image_len: u64,
+    /// The durable session's spec, parsed once: every seek builds its
+    /// replica from it. `None` for in-memory sessions.
+    spec: Option<SessionSpec>,
     /// The durable session's directory (spec + journal live here);
-    /// `None` for in-memory sessions. Seeks re-read both to build the
-    /// replica.
+    /// `None` for in-memory sessions. Seeks re-read the journal to
+    /// build the replica.
     dir: Option<PathBuf>,
     /// Cumulative events dropped by this session's bounded subscriber
     /// queues — each queue holds a clone, so drops survive the queue
@@ -547,15 +558,15 @@ impl DebugServer {
                         inner.journal = Some(restored.journal);
                         inner.journal_len = restored.journal_len;
                         inner.dir = Some(dir);
+                        inner.spec = Some(restored.spec);
                         inner.checkpoint_interval = checkpoint_interval;
                         if let Some(cs) = checkpoints {
                             inner.last_checkpoint_len = cs.latest().map_or(0, |m| m.seq);
-                            // Segments still referenced by the oldest
-                            // retained checkpoint must outlive retention
-                            // eviction: a seek replays forward from that
-                            // checkpoint and pages its window out of the
-                            // persisted prefix.
-                            if let Some(oldest) = cs.oldest_seq() {
+                            inner.last_image_len = inner.last_checkpoint_len;
+                            // Segments at or above the oldest checkpoint
+                            // file must outlive retention eviction, as
+                            // when the session first wrote it.
+                            if let Some(oldest) = cs.oldest_file_seq() {
                                 inner.session.set_trace_retain_floor(oldest);
                             }
                             inner.checkpoints = Some(cs);
@@ -681,6 +692,7 @@ impl DebugServer {
             inner.journal = Some(journal);
             inner.checkpoints = Some(checkpoints);
             inner.checkpoint_interval = checkpoint_interval;
+            inner.spec = Some(spec.clone());
             inner.dir = Some(dir);
         }))
     }
@@ -715,6 +727,8 @@ impl DebugServer {
             checkpoints: None,
             checkpoint_interval: 0,
             last_checkpoint_len: 0,
+            last_image_len: 0,
+            spec: None,
             dir: None,
             lagged: Counter::new(),
             last_slice: None,
@@ -1221,9 +1235,9 @@ impl SessionHandle {
     }
 
     /// Seeks the session's history to target time `t_ns` (clamped to
-    /// the live clock): restores the nearest persisted checkpoint at or
+    /// the live clock): restores the nearest checkpoint image at or
     /// before the target into a detached replica and deterministically
-    /// replays it forward — O(checkpoint interval), not O(trace
+    /// replays it forward — O(checkpoint stride), not O(trace
     /// length). The live session is untouched. With `include_trace` the
     /// report carries the replica's full serialized trace,
     /// byte-identical to an uninterrupted run's at the same instant.
@@ -1684,16 +1698,21 @@ fn apply_command(
             include_trace,
             reply,
         } => {
+            let t0 = registry.enabled().then(Instant::now);
             let target = t_ns.min(inner.session.now_ns());
-            let _ = reply.send(seek_to_target(inner, id, registry, target, include_trace));
+            let result = seek_to_target(inner, id, registry, target, include_trace);
+            record_elapsed(&registry.seek_to_ns, t0);
+            let _ = reply.send(result);
         }
         SessionCommand::StepBack {
             entries,
             include_trace,
             reply,
         } => {
+            let t0 = registry.enabled().then(Instant::now);
             let result = step_back_target(inner, entries)
                 .and_then(|target| seek_to_target(inner, id, registry, target, include_trace));
+            record_elapsed(&registry.step_back_ns, t0);
             let _ = reply.send(result);
         }
         SessionCommand::ReplayWindow {
@@ -1701,6 +1720,7 @@ fn apply_command(
             t1_ns,
             reply,
         } => {
+            let started = registry.enabled().then(Instant::now);
             // The checkpoint must land *strictly before* the window so
             // every in-window entry (time >= t0) is regenerated by the
             // replica rather than assumed persisted: an entry the
@@ -1725,17 +1745,22 @@ fn apply_command(
                     end_seq: hi,
                 })
             });
+            record_elapsed(&registry.replay_window_ns, started);
             let _ = reply.send(result);
         }
     }
 }
 
-/// Persists a full-state checkpoint when the trace has grown by at
-/// least one checkpoint interval since the last one. Runs on the pump
-/// path right after `sync_trace`, so a checkpoint never references
-/// trace entries that are not themselves on disk yet. A write failure
-/// fails the session — a durable session whose checkpoint chain can no
-/// longer advance would silently degrade every future seek.
+/// Images the session's full state every [`checkpoint_stride`] trace
+/// entries and commits the staged images as one fsync'd file whenever
+/// the trace has grown by at least one interval since the last file
+/// (exactly where a file was written when each held one image). Staged
+/// images answer seeks at once; a crash loses them harmlessly (they are
+/// accelerators, never an oracle). Runs on the pump path right after
+/// `sync_trace`, so an image never references trace entries that are
+/// not themselves on disk yet. A write failure fails the session — a
+/// durable session whose checkpoint chain can no longer advance would
+/// silently degrade every future seek.
 fn maybe_checkpoint(inner: &mut SessionInner, id: SessionId, registry: &MetricsRegistry) {
     if inner.checkpoint_interval == 0 || inner.checkpoints.is_none() {
         return;
@@ -1749,7 +1774,9 @@ fn maybe_checkpoint(inner: &mut SessionInner, id: SessionId, registry: &MetricsR
         return;
     }
     let len = inner.session.engine().trace().len() as u64;
-    if len.saturating_sub(inner.last_checkpoint_len) < inner.checkpoint_interval {
+    let commit = len.saturating_sub(inner.last_checkpoint_len) >= inner.checkpoint_interval;
+    let stride = checkpoint_stride(inner.checkpoint_interval);
+    if !commit && len.saturating_sub(inner.last_image_len) < stride {
         return;
     }
     let image = persist::ServerCheckpoint {
@@ -1763,31 +1790,35 @@ fn maybe_checkpoint(inner: &mut SessionInner, id: SessionId, registry: &MetricsR
             return;
         }
     };
-    let t0 = registry.enabled().then(Instant::now);
     let store = inner.checkpoints.as_mut().expect("checked above");
-    match store.save(len, image.session.t_ns(), payload.as_bytes()) {
-        Ok(bytes) => {
-            inner.last_checkpoint_len = len;
-            if let Some(t0) = t0 {
-                registry.checkpoint_writes.inc();
-                registry.checkpoint_bytes.add(bytes);
-                registry
-                    .checkpoint_write_ns
-                    .record(t0.elapsed().as_nanos() as u64);
+    if let Err(e) = store.stage(len, image.session.t_ns(), payload.into_bytes()) {
+        fail(inner, id, &format!("checkpoint image rejected: {e}"));
+        return;
+    }
+    inner.last_image_len = len;
+    if registry.enabled() {
+        registry.checkpoint_images.inc();
+    }
+    if commit {
+        let t0 = registry.enabled().then(Instant::now);
+        match store.commit() {
+            Ok(bytes) => {
+                inner.last_checkpoint_len = len;
+                if let Some(t0) = t0 {
+                    registry.checkpoint_writes.inc();
+                    registry.checkpoint_bytes.add(bytes);
+                    registry
+                        .checkpoint_write_ns
+                        .record(t0.elapsed().as_nanos() as u64);
+                }
+                // Pin retention: segments at or above the oldest
+                // checkpoint file's position must survive eviction.
+                if let Some(oldest) = store.oldest_file_seq() {
+                    inner.session.set_trace_retain_floor(oldest);
+                }
             }
-            // Pin retention: segments at or above the oldest retained
-            // checkpoint's position must survive eviction — a seek
-            // restores that checkpoint and pages its forward window out
-            // of the persisted prefix.
-            if let Some(oldest) = inner
-                .checkpoints
-                .as_ref()
-                .and_then(CheckpointStore::oldest_seq)
-            {
-                inner.session.set_trace_retain_floor(oldest);
-            }
+            Err(e) => fail(inner, id, &format!("checkpoint write failed: {e}")),
         }
-        Err(e) => fail(inner, id, &format!("checkpoint write failed: {e}")),
     }
 }
 
@@ -1819,11 +1850,12 @@ fn seek_replica(
     strictly_before: bool,
     target_ns: u64,
 ) -> Result<SeekReplica, String> {
-    let dir = inner.dir.as_ref().ok_or_else(|| {
-        "time travel needs a durable session (in-memory sessions keep no checkpoints or journal)"
-            .to_owned()
-    })?;
-    let spec = persist::load_spec(dir)?;
+    let (Some(spec), Some(dir)) = (&inner.spec, &inner.dir) else {
+        return Err(
+            "time travel needs a durable session (in-memory sessions keep no checkpoints or journal)"
+                .to_owned(),
+        );
+    };
     let records = persist::read_journal(dir)?;
     let mut restored: Option<(CheckpointMeta, persist::ServerCheckpoint)> = None;
     if let Some(store) = &inner.checkpoints {
@@ -1918,12 +1950,23 @@ fn seek_replica(
             .run_for(target_ns - now)
             .map_err(|e| format!("replica replay failed: {e}"))?;
     }
+    if registry.enabled() {
+        let len = session.engine().trace().len() as u64;
+        registry.replayed_entries.record(len.saturating_sub(base));
+    }
     Ok(SeekReplica {
         session,
         base,
         checkpoint,
         replayed_commands,
     })
+}
+
+/// Records the wall time since `t0` (taken only when metrics are on).
+fn record_elapsed(histogram: &Histogram, t0: Option<Instant>) {
+    if let Some(t0) = t0 {
+        histogram.record(t0.elapsed().as_nanos() as u64);
+    }
 }
 
 /// Runs a full seek to `target_ns` and packages the result.

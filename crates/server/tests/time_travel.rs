@@ -8,7 +8,10 @@
 //! the crash story (a checkpoint torn at an arbitrary byte falls back
 //! to an older image or to zero), the retention clamp (eviction never
 //! outruns the oldest retained checkpoint), the wire round trip, and
-//! the checkpoint metrics.
+//! the checkpoint metrics. The second half covers dense anchors —
+//! several images per checkpoint file, staged in memory between
+//! commits: byte-identity at every instant, torn and bit-flipped files,
+//! staged images lost to a restart, and `GCP1` files from before.
 
 mod common;
 
@@ -16,7 +19,7 @@ use common::ring_system;
 use gmdf::SessionSpec;
 use gmdf_codegen::{CompileOptions, InstrumentOptions};
 use gmdf_comdes::SignalValue;
-use gmdf_engine::{Codec, ExecutionTrace, Retention};
+use gmdf_engine::{checkpoint_stride, CheckpointStore, Codec, ExecutionTrace, Retention};
 use gmdf_gdm::{CommandMatcher, EventKind};
 use gmdf_server::{
     DebugServer, PersistConfig, ServerConfig, SessionHandle, WireClient, WireServer,
@@ -518,6 +521,436 @@ fn checkpoint_metrics_flow_through_registry_and_prometheus() {
     ] {
         assert!(text.contains(needle), "{needle} missing from exposition");
     }
+
+    // Per-verb time-travel latency: one sample per served request, and
+    // one replay-length sample per replica built. Images outnumber the
+    // files they share.
+    handle.step_back(3, false, WAIT).expect("step back");
+    handle
+        .replay_window(stats.now_ns / 4, stats.now_ns / 2, WAIT)
+        .expect("window");
+    let fleet = server.metrics_snapshot().fleet;
+    assert_eq!(fleet.seek_to_ns.count, 2);
+    assert_eq!(fleet.step_back_ns.count, 1);
+    assert_eq!(fleet.replay_window_ns.count, 1);
+    assert_eq!(fleet.replayed_entries.count, 4);
+    assert!(
+        fleet.checkpoint_images > fleet.checkpoint_writes,
+        "{} images for {} files",
+        fleet.checkpoint_images,
+        fleet.checkpoint_writes
+    );
+    assert_eq!(
+        files.len() as u64,
+        fleet.checkpoint_writes,
+        "writes count files"
+    );
+    let text = server.metrics_text();
+    for needle in [
+        "gmdf_checkpoint_images_total",
+        "gmdf_seek_to_ns_count 2",
+        "gmdf_step_back_ns_count 1",
+        "gmdf_replay_window_ns_count 1",
+        "gmdf_replayed_entries_count 4",
+    ] {
+        assert!(text.contains(needle), "{needle} missing from exposition");
+    }
     drop(server);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+// ---------------------------------------------------------------------------
+// Dense anchors: several images per checkpoint file
+// ---------------------------------------------------------------------------
+
+/// Trace entries between checkpoint images at [`INTERVAL`].
+const STRIDE: u64 = checkpoint_stride(INTERVAL);
+
+/// One image in a `GCP2` checkpoint file, read from the file's index.
+#[derive(Debug, Clone, Copy)]
+struct FileImage {
+    seq: u64,
+    t_ns: u64,
+    /// Byte range of the image's index entry.
+    entry: (usize, usize),
+    /// Byte range of the image's payload.
+    payload: (usize, usize),
+}
+
+/// Parses the index of a `GCP2` file: `"GCP2" | codec u8 | count u32`,
+/// then `count × [seq u64 | t_ns u64 | offset u64 | len u32 | crc u32]`
+/// (all big-endian), then the payloads.
+fn gcp2_images(bytes: &[u8]) -> Vec<FileImage> {
+    assert_eq!(&bytes[..4], b"GCP2", "checkpoint files are written as GCP2");
+    let be = |at: usize, n: usize| {
+        bytes[at..at + n]
+            .iter()
+            .fold(0u64, |acc, &b| (acc << 8) | u64::from(b))
+    };
+    (0..be(5, 4) as usize)
+        .map(|k| {
+            let at = 9 + 32 * k;
+            let (offset, len) = (be(at + 16, 8) as usize, be(at + 24, 4) as usize);
+            FileImage {
+                seq: be(at, 8),
+                t_ns: be(at + 8, 8),
+                entry: (at, at + 32),
+                payload: (offset, offset + len),
+            }
+        })
+        .collect()
+}
+
+/// Every committed image of a session: `(file path, images)` per file,
+/// ascending.
+fn committed_images(root: &std::path::Path, id: u64) -> Vec<(PathBuf, Vec<FileImage>)> {
+    checkpoint_files(&checkpoint_dir(root, id))
+        .into_iter()
+        .map(|(_, path)| {
+            let images = gcp2_images(&std::fs::read(&path).expect("read checkpoint"));
+            (path, images)
+        })
+        .collect()
+}
+
+/// The answer of one seek, minus how it was served (anchor and replay
+/// length differ by design between dense anchors and replay from zero).
+fn answer(report: &gmdf_server::SeekReport) -> String {
+    format!(
+        "{} {} {} {:?}\n{}",
+        report.target_ns,
+        report.now_ns,
+        report.trace_len,
+        report.engine_state,
+        report.trace_json.as_deref().expect("trace requested")
+    )
+}
+
+/// Moves a session's checkpoints aside, restarts with checkpointing
+/// disabled and answers every target by replay from zero, then puts
+/// the checkpoints back.
+fn answers_from_zero(root: &std::path::Path, id: u64, targets: &[u64]) -> Vec<String> {
+    let dir = checkpoint_dir(root, id);
+    let aside = dir.with_extension("aside");
+    std::fs::rename(&dir, &aside).expect("move checkpoints aside");
+    let server = DebugServer::start_persistent(
+        server_config(),
+        PersistConfig::new(root).with_checkpoint_interval(0),
+    )
+    .expect("restart");
+    let handle = server.handle(id).expect("restored");
+    handle.wait_idle(WAIT).expect("catch-up");
+    let answers = targets
+        .iter()
+        .map(|&t| {
+            let report = handle.seek_to(t, true, WAIT).expect("seek from zero");
+            assert_eq!(report.checkpoint_seq, None, "replay from zero");
+            answer(&report)
+        })
+        .collect();
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::rename(&aside, &dir).expect("restore checkpoints");
+    answers
+}
+
+/// Dense anchors: every instant of the history, seeked through images
+/// taken every stride, answers byte-identically to replay from zero;
+/// some seek anchors on an image in the middle of a file; and no seek
+/// replays more than one stride plus one pump slice's entries.
+#[test]
+fn dense_anchor_seeks_match_replay_from_zero_at_every_instant() {
+    let root = tmp_root("dense");
+    let (id, targets, answers, anchors, max_slice) = {
+        let server = DebugServer::start_persistent(
+            server_config(),
+            PersistConfig::new(&root).with_checkpoint_interval(INTERVAL),
+        )
+        .expect("boots");
+        let handle = server
+            .add_durable_session(&spec_of(tt_system("tt-dense")))
+            .expect("durable");
+        let events = handle.subscribe_with_capacity(0);
+        drive_history(&handle);
+        // Each pumped slice publishes its entries as one delta.
+        let max_slice = events
+            .try_iter()
+            .filter_map(|event| match event {
+                gmdf_server::EngineEvent::TraceDelta { entries, .. } => Some(entries.len() as u64),
+                _ => None,
+            })
+            .max()
+            .expect("the history published entries");
+        let snapshot = handle.snapshot(WAIT).expect("snapshot");
+        let entries = ExecutionTrace::from_json(&snapshot.trace_json.expect("trace"))
+            .expect("parses")
+            .entries();
+        let mut targets: Vec<u64> = entries.iter().map(|e| e.event.time_ns).collect();
+        targets.push(snapshot.now_ns);
+        targets.dedup();
+        let mut answers = Vec::new();
+        let mut anchors = Vec::new();
+        for &t in &targets {
+            let report = handle.seek_to(t, true, WAIT).expect("seek");
+            assert!(
+                report.replayed_entries <= STRIDE + max_slice,
+                "seek to {t} replayed {} entries, more than a stride ({STRIDE}) plus a slice \
+                 ({max_slice})",
+                report.replayed_entries
+            );
+            anchors.extend(report.checkpoint_seq);
+            answers.push(answer(&report));
+        }
+        (handle.id(), targets, answers, anchors, max_slice)
+    };
+    let mid_file: Vec<u64> = committed_images(&root, id)
+        .iter()
+        .flat_map(|(_, images)| images[..images.len() - 1].iter().map(|i| i.seq))
+        .collect();
+    assert!(
+        anchors.iter().any(|seq| mid_file.contains(seq)),
+        "no seek anchored on a mid-file image (anchors {anchors:?}, mid-file {mid_file:?})"
+    );
+    assert!(max_slice > 0);
+    let reference = answers_from_zero(&root, id, &targets);
+    for ((t, dense), zero) in targets.iter().zip(&answers).zip(&reference) {
+        assert_eq!(
+            dense, zero,
+            "dense-anchor seek to {t} ns differs from replay from zero"
+        );
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Restarts a registry with checkpointing off: the session's files
+/// still anchor seeks, but the pump takes no fresh image once its
+/// catch-up ends, so a seek can only be served by what was on disk.
+fn restart_without_imaging(root: &std::path::Path) -> DebugServer {
+    DebugServer::start_persistent(
+        server_config(),
+        PersistConfig::new(root).with_checkpoint_interval(0),
+    )
+    .expect("restart")
+}
+
+/// The newest checkpoint file torn at an arbitrary byte is rejected
+/// whole: the seek falls back to the previous file's newest image and
+/// still answers byte-identically.
+#[test]
+fn torn_newest_file_falls_back_to_the_previous_files_newest_image() {
+    let root = tmp_root("torn-dense");
+    let persist = || PersistConfig::new(&root).with_checkpoint_interval(INTERVAL);
+    let (id, now, reference) = {
+        let server = DebugServer::start_persistent(server_config(), persist()).expect("boots");
+        let handle = server
+            .add_durable_session(&spec_of(tt_system("tt-torn-dense")))
+            .expect("durable");
+        drive_history(&handle);
+        let now = handle.stats(WAIT).expect("stats").now_ns;
+        let report = handle.seek_to(now, true, WAIT).expect("seek");
+        (handle.id(), now, answer(&report))
+    };
+    let files = committed_images(&root, id);
+    assert!(files.len() >= 2, "need a previous file to fall back to");
+    let previous_newest = files[files.len() - 2].1.last().expect("non-empty").seq;
+    let (newest_path, newest_images) = files.last().expect("newest").clone();
+    assert!(
+        newest_images.len() > 1,
+        "the newest file holds several images"
+    );
+    let intact = std::fs::read(&newest_path).expect("read newest");
+    // Cuts spread over header, index and payloads.
+    for cut in [
+        1usize,
+        9,
+        40,
+        intact.len() / 2,
+        intact.len() * 5 / 7,
+        intact.len() - 1,
+    ] {
+        std::fs::write(&newest_path, &intact[..cut]).expect("tear");
+        let server = restart_without_imaging(&root);
+        let handle = server.handle(id).expect("restored");
+        handle.wait_idle(WAIT).expect("catch-up");
+        let report = handle.seek_to(now, true, WAIT).expect("seek");
+        assert_eq!(
+            report.checkpoint_seq,
+            Some(previous_newest),
+            "cut at {cut}: the previous file's newest image must anchor the seek"
+        );
+        assert_eq!(answer(&report), reference, "cut at {cut}: same answer");
+        drop(server);
+        assert!(
+            !newest_path.exists(),
+            "cut at {cut}: torn file swept on open"
+        );
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Images staged since the last commit answer seeks at once; a restart
+/// drops them, and the same seek — now anchored on a committed image —
+/// answers byte-identically.
+#[test]
+fn staged_images_serve_seeks_and_a_restart_drops_them_harmlessly() {
+    let root = tmp_root("staged");
+    let persist = || PersistConfig::new(&root).with_checkpoint_interval(INTERVAL);
+    let (id, target, staged_seq, reference) = {
+        let server = DebugServer::start_persistent(server_config(), persist()).expect("boots");
+        let handle = server
+            .add_durable_session(&spec_of(tt_system("tt-staged")))
+            .expect("durable");
+        drive_history(&handle);
+        // Pump in small steps until the newest image is still staged:
+        // newer than every committed file.
+        let mut steps = 0;
+        loop {
+            let now = handle.stats(WAIT).expect("stats").now_ns;
+            let report = handle.seek_to(now, true, WAIT).expect("seek");
+            let committed = checkpoint_files(&checkpoint_dir(&root, handle.id()))
+                .last()
+                .map_or(0, |(seq, _)| *seq);
+            match report.checkpoint_seq {
+                Some(seq) if seq > committed => break (handle.id(), now, seq, answer(&report)),
+                _ => {}
+            }
+            handle.run_for(1_000_000).expect("send");
+            handle.wait_idle(WAIT).expect("idle");
+            steps += 1;
+            assert!(steps < 200, "no staged image after {steps} steps");
+        }
+    };
+    assert!(
+        committed_images(&root, id)
+            .iter()
+            .all(|(_, images)| images.iter().all(|i| i.seq != staged_seq)),
+        "the anchor was never written to disk"
+    );
+    let server = restart_without_imaging(&root);
+    let handle = server.handle(id).expect("restored");
+    handle.wait_idle(WAIT).expect("catch-up");
+    let report = handle
+        .seek_to(target, true, WAIT)
+        .expect("seek after restart");
+    assert!(
+        report.checkpoint_seq.is_some_and(|seq| seq < staged_seq),
+        "the staged image died with the process: anchored on {:?}",
+        report.checkpoint_seq
+    );
+    assert_eq!(
+        answer(&report),
+        reference,
+        "same answer without the staged image"
+    );
+    drop(server);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A hand-written one-image `GCP1` file — the format before multi-image
+/// files — still anchors a seek.
+#[test]
+fn a_gcp1_file_still_anchors_a_seek() {
+    let root = tmp_root("gcp1");
+    let persist = || PersistConfig::new(&root).with_checkpoint_interval(INTERVAL);
+    let (id, image, target, reference) = {
+        let server = DebugServer::start_persistent(server_config(), persist()).expect("boots");
+        let handle = server
+            .add_durable_session(&spec_of(tt_system("tt-gcp1")))
+            .expect("durable");
+        drive_history(&handle);
+        let id = handle.id();
+        let store = CheckpointStore::open(checkpoint_dir(&root, id)).expect("open");
+        let image = store.metas()[store.len() / 2];
+        // Just past the image, before the next one.
+        let target = image.t_ns + 1;
+        let report = handle.seek_to(target, true, WAIT).expect("seek");
+        (id, image, target, answer(&report))
+    };
+    let dir = checkpoint_dir(&root, id);
+    let payload = CheckpointStore::open(&dir)
+        .expect("open")
+        .load(&image)
+        .expect("load");
+    std::fs::remove_dir_all(&dir).expect("drop the GCP2 files");
+    std::fs::create_dir_all(&dir).expect("recreate");
+    let mut gcp1 = b"GCP1\0".to_vec();
+    gcp1.extend_from_slice(&u32::try_from(payload.len()).expect("fits").to_be_bytes());
+    gcp1.extend_from_slice(&payload);
+    std::fs::write(
+        dir.join(format!("ckpt-{:016}-{:020}.ck", image.seq, image.t_ns)),
+        gcp1,
+    )
+    .expect("write GCP1");
+    let server = DebugServer::start_persistent(server_config(), persist()).expect("restart");
+    let handle = server.handle(id).expect("restored");
+    handle.wait_idle(WAIT).expect("catch-up");
+    let report = handle.seek_to(target, true, WAIT).expect("seek");
+    assert_eq!(
+        report.checkpoint_seq,
+        Some(image.seq),
+        "the GCP1 image anchors"
+    );
+    assert_eq!(answer(&report), reference);
+    drop(server);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A flipped byte at every 7th offset of a multi-image file: after a
+/// reopen, a seek to the damaged image's instant never restores wrong
+/// state — it answers byte-identically to replay from zero, anchored
+/// below the damaged image. (A 4-entry interval keeps the file, and so
+/// the number of restarts, small: one image per entry, four per file.)
+#[test]
+fn a_flipped_byte_in_a_file_never_restores_wrong_state() {
+    let root = tmp_root("flip");
+    let persist = || PersistConfig::new(&root).with_checkpoint_interval(4);
+    let id = {
+        let server = DebugServer::start_persistent(server_config(), persist()).expect("boots");
+        let handle = server
+            .add_durable_session(&spec_of(tt_system("tt-flip")))
+            .expect("durable");
+        let mut chunks = 0;
+        while checkpoint_files(&checkpoint_dir(&root, handle.id())).len() < 2 {
+            handle.run_for(2_000_000).expect("send");
+            handle.wait_idle(WAIT).expect("idle");
+            chunks += 1;
+            assert!(chunks < 64, "ring too quiet after {chunks} chunks");
+        }
+        handle.id()
+    };
+    let files = committed_images(&root, id);
+    let (path, images) = files[1].clone();
+    assert!(images.len() > 1, "a multi-image file: {images:?}");
+    let targets: Vec<u64> = images.iter().map(|i| i.t_ns).collect();
+    let reference = answers_from_zero(&root, id, &targets);
+    let intact = std::fs::read(&path).expect("read");
+    let header = 9 + 32 * images.len();
+    for at in (0..intact.len()).step_by(7) {
+        let mut damaged = intact.clone();
+        damaged[at] ^= 0x20;
+        std::fs::write(&path, &damaged).expect("flip");
+        // The image whose entry or payload holds the flipped byte; a
+        // flip in the header damages the file's first image.
+        let k = images
+            .iter()
+            .position(|i| {
+                (i.entry.0..i.entry.1).contains(&at) || (i.payload.0..i.payload.1).contains(&at)
+            })
+            .unwrap_or(0);
+        assert!(at >= 9 || k == 0);
+        let server = DebugServer::start_persistent(server_config(), persist()).expect("restart");
+        let handle = server.handle(id).expect("restored");
+        handle.wait_idle(WAIT).expect("catch-up");
+        let report = handle.seek_to(targets[k], true, WAIT).expect("seek");
+        assert!(
+            report.checkpoint_seq.is_none_or(|seq| seq < images[k].seq),
+            "flip at {at} (header ends at {header}): anchored on {:?}, damaged image at seq {}",
+            report.checkpoint_seq,
+            images[k].seq
+        );
+        assert_eq!(answer(&report), reference[k], "flip at {at}: same answer");
+        drop(server);
+        std::fs::write(&path, &intact).expect("repair");
+    }
     std::fs::remove_dir_all(&root).ok();
 }

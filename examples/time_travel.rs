@@ -3,14 +3,15 @@
 //!
 //! Run with `cargo run --example time_travel`.
 //!
-//! Boots a persistent `DebugServer` that writes a full-state checkpoint
-//! every 32 trace entries, hosts a durable blinker session, pumps part
+//! Boots a persistent `DebugServer` that images the session's full
+//! state every trace entry and commits the images as one checkpoint
+//! file every 16 entries, hosts a durable blinker session, pumps part
 //! of a run and **drops the server mid-run** — the simulated crash. The
 //! second life restores the session, finishes the outstanding budget,
 //! and then travels backwards through the finished history:
 //!
-//! * `seek_to(t)` restores the nearest checkpoint at or before `t` and
-//!   deterministically replays forward — O(checkpoint interval), not
+//! * `seek_to(t)` restores the nearest checkpoint image at or before `t`
+//!   and deterministically replays forward — O(checkpoint stride), not
 //!   O(trace length);
 //! * `step_back(k)` rewinds `k` trace entries the same way;
 //! * `replay_window(t0, t1)` regenerates a time window even when the
@@ -102,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         handle.wait_idle(WAIT)?;
         let snap = handle.stats(WAIT)?;
         println!(
-            "[life 1] pumped to {} ms, trace length {} (checkpoint every {CKPT_INTERVAL} entries)",
+            "[life 1] pumped to {} ms, trace length {} (checkpoint file every {CKPT_INTERVAL} entries)",
             snap.now_ns / 1_000_000,
             snap.trace_len
         );
@@ -120,12 +121,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .join("sessions")
         .join(format!("{id:016}"))
         .join("checkpoints");
-    let images = std::fs::read_dir(&ckpt_dir)?.count();
+    let files = std::fs::read_dir(&ckpt_dir)?.count();
     println!(
-        "[disk]   {images} checkpoint image(s) under {}",
+        "[disk]   {files} checkpoint file(s) under {}",
         ckpt_dir.display()
     );
-    assert!(images >= 2, "demo run should span several intervals");
+    assert!(files >= 2, "demo run should span several intervals");
 
     // -- second life: restore, finish, then travel backwards ----------------
     let server = DebugServer::start_persistent(ServerConfig::default(), persist(&root))?;
@@ -190,6 +191,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     drop(server);
     std::fs::remove_dir_all(&root).ok();
-    println!("done: stepping backwards costs one checkpoint interval, not the whole trace.");
+    println!("done: stepping backwards costs one checkpoint stride, not the whole trace.");
     Ok(())
 }
