@@ -111,7 +111,7 @@ pub struct TraceSlice {
     pub first_seq: u64,
     /// The entries, in sequence order. Capped server-side
     /// ([`MAX_FETCH_ENTRIES`]) — while `complete` is false, continue
-    /// with [`SessionCommand::ReplayFrom`] at
+    /// with [`crate::SessionCommand::ReplayFrom`] at
     /// `first_seq + entries.len()` until `end_seq`.
     ///
     /// [`MAX_FETCH_ENTRIES`]: crate::MAX_FETCH_ENTRIES

@@ -11,10 +11,15 @@
 //! Each hosted session exposes two asynchronous surfaces through its
 //! [`SessionHandle`]:
 //!
-//! * a **command mailbox** — [`SessionCommand`]s (schedule a signal,
-//!   add/clear breakpoints, step, resume, run-for, snapshot) queue
-//!   without blocking and are applied in arrival order at the session's
-//!   next scheduling turn;
+//! * a **request mailbox** — [`SessionHandle::call`] posts one
+//!   plain-data [`SessionCommand`] and returns its [`Reply`]. State
+//!   changes (schedule a signal, add/clear breakpoints, step, resume,
+//!   run-for) are acknowledged on enqueue and applied in arrival order
+//!   at the session's next scheduling turn; queries (snapshot, history
+//!   pages, time-travel seeks) wait for their answer, which is ordered
+//!   after every request posted before them. The typed verbs
+//!   ([`SessionHandle::run_for`], [`SessionHandle::snapshot`], …) are
+//!   one-line wrappers over `call`;
 //! * a **broadcast event stream** — every subscriber gets its own
 //!   *bounded* [`EventReceiver`] of [`EngineEvent`]s (slice reports,
 //!   incremental trace deltas, violations, breakpoint hits), drained at
@@ -28,9 +33,12 @@
 //! Remote frontends attach over TCP: [`WireServer`] fronts a
 //! [`DebugServer`] with a length-prefixed, versioned JSON framing of
 //! the same vocabulary ([`proto`]), and [`WireClient`] drives it —
-//! attach to a session, send commands, stream events. The wire path
-//! shares the broadcast backpressure policy, so a stalled socket can
-//! never wedge the scheduler either.
+//! attach to sessions, stream events, and send the same requests
+//! through [`WireClient::call`], with the same typed verbs on top. The
+//! wire is a thin transport: the server answers a command frame with
+//! `SessionHandle::call` and maps the [`Reply`] onto one frame. The
+//! wire path shares the broadcast backpressure policy, so a stalled
+//! socket can never wedge the scheduler either.
 //!
 //! Determinism is the load-bearing invariant: a session pumped in server
 //! slices on a contended worker pool records a trace **byte-identical**
@@ -110,7 +118,7 @@ pub use metrics::{
 };
 pub use queue::{EventReceiver, TryIter, MAX_COALESCED_ENTRIES};
 pub use server::{
-    DebugServer, PersistConfig, ServerConfig, ServerError, SessionCommand, SessionHandle,
+    DebugServer, PersistConfig, Reply, ServerConfig, ServerError, SessionCommand, SessionHandle,
     SessionId, DEFAULT_CHECKPOINT_INTERVAL, MAX_FETCH_BYTES, MAX_FETCH_ENTRIES,
 };
 pub use wire::{WireClient, WireError, WireServer};

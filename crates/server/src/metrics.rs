@@ -183,6 +183,12 @@ pub struct MetricsRegistry {
     /// Wall nanoseconds per checkpoint load during a seek (read +
     /// parse), excluding the replay that follows.
     pub checkpoint_restore_ns: Histogram,
+    /// Wall nanoseconds per served `Snapshot` request.
+    pub snapshot_ns: Histogram,
+    /// Wall nanoseconds per served `FetchRange` request.
+    pub fetch_range_ns: Histogram,
+    /// Wall nanoseconds per served `ReplayFrom` request.
+    pub replay_from_ns: Histogram,
     /// Wall nanoseconds per served `SeekTo` request.
     pub seek_to_ns: Histogram,
     /// Wall nanoseconds per served `StepBack` request.
@@ -227,6 +233,9 @@ impl MetricsRegistry {
             checkpoint_restores: Counter::new(),
             checkpoint_write_ns: Histogram::new(),
             checkpoint_restore_ns: Histogram::new(),
+            snapshot_ns: Histogram::new(),
+            fetch_range_ns: Histogram::new(),
+            replay_from_ns: Histogram::new(),
             seek_to_ns: Histogram::new(),
             step_back_ns: Histogram::new(),
             replay_window_ns: Histogram::new(),
@@ -436,6 +445,15 @@ pub struct FleetMetrics {
     pub checkpoint_write_ns: HistogramSnapshot,
     /// Checkpoint load latency during seeks (read + parse).
     pub checkpoint_restore_ns: HistogramSnapshot,
+    /// `Snapshot` request latency.
+    #[serde(default)]
+    pub snapshot_ns: HistogramSnapshot,
+    /// `FetchRange` request latency.
+    #[serde(default)]
+    pub fetch_range_ns: HistogramSnapshot,
+    /// `ReplayFrom` request latency.
+    #[serde(default)]
+    pub replay_from_ns: HistogramSnapshot,
     /// `SeekTo` request latency.
     #[serde(default)]
     pub seek_to_ns: HistogramSnapshot,
@@ -573,6 +591,9 @@ impl MetricsSnapshot {
         histo("gmdf_journal_append_ns", &f.journal_append_ns);
         histo("gmdf_checkpoint_write_ns", &f.checkpoint_write_ns);
         histo("gmdf_checkpoint_restore_ns", &f.checkpoint_restore_ns);
+        histo("gmdf_snapshot_ns", &f.snapshot_ns);
+        histo("gmdf_fetch_range_ns", &f.fetch_range_ns);
+        histo("gmdf_replay_from_ns", &f.replay_from_ns);
         histo("gmdf_seek_to_ns", &f.seek_to_ns);
         histo("gmdf_step_back_ns", &f.step_back_ns);
         histo("gmdf_replay_window_ns", &f.replay_window_ns);
@@ -693,6 +714,9 @@ pub(crate) fn fleet_skeleton(registry: &MetricsRegistry) -> FleetMetrics {
         checkpoint_restores: registry.checkpoint_restores.get(),
         checkpoint_write_ns: registry.checkpoint_write_ns.snapshot(),
         checkpoint_restore_ns: registry.checkpoint_restore_ns.snapshot(),
+        snapshot_ns: registry.snapshot_ns.snapshot(),
+        fetch_range_ns: registry.fetch_range_ns.snapshot(),
+        replay_from_ns: registry.replay_from_ns.snapshot(),
         seek_to_ns: registry.seek_to_ns.snapshot(),
         step_back_ns: registry.step_back_ns.snapshot(),
         replay_window_ns: registry.replay_window_ns.snapshot(),

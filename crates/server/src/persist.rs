@@ -44,9 +44,7 @@ use std::sync::mpsc;
 pub(crate) struct JournalRecord {
     /// Target simulation time at application.
     pub at_ns: u64,
-    /// The applied command (`Snapshot`/`FetchRange`/`ReplayFrom` are
-    /// read-only and never journaled; their deserialized reply channel
-    /// stand-ins make the derive usable here).
+    /// The applied state change (queries are never journaled).
     pub command: SessionCommand,
 }
 
@@ -75,22 +73,6 @@ impl Journal {
         self.file.write_all(&record)?;
         self.file.sync_data()
     }
-}
-
-/// `true` for commands that change session state and must be journaled
-/// (read-only queries are not part of the replayable history). The
-/// time-travel trio (`SeekTo`/`StepBack`/`ReplayWindow`) is read-only
-/// too: a seek inspects a detached replica, never the live session.
-pub(crate) fn journaled(command: &SessionCommand) -> bool {
-    !matches!(
-        command,
-        SessionCommand::Snapshot { .. }
-            | SessionCommand::FetchRange { .. }
-            | SessionCommand::ReplayFrom { .. }
-            | SessionCommand::SeekTo { .. }
-            | SessionCommand::StepBack { .. }
-            | SessionCommand::ReplayWindow { .. }
-    )
 }
 
 /// Directory of one session's persisted state.
@@ -271,37 +253,11 @@ pub(crate) fn restore_session(
                 .map_err(|e| format!("session {id}: replay pump failed: {e}"))?;
             events_fed += report.events_fed as u64;
         }
-        match record.command {
-            SessionCommand::ScheduleSignal {
-                time_ns,
-                label,
-                value,
-            } => {
-                session
-                    .schedule_signal(time_ns, &label, value)
-                    .map_err(|e| format!("session {id}: replay stimulus failed: {e}"))?;
-            }
-            SessionCommand::AddBreakpoint { matcher, one_shot } => {
-                session.engine_mut().add_breakpoint(matcher, one_shot);
-            }
-            SessionCommand::ClearBreakpoints => session.engine_mut().clear_breakpoints(),
-            SessionCommand::Step => {
-                session.engine_mut().step();
-            }
-            SessionCommand::Resume => {
-                session.engine_mut().resume();
-            }
-            SessionCommand::RunFor { duration_ns } => {
-                total_budget_ns = total_budget_ns.saturating_add(duration_ns);
-            }
-            // Never journaled; tolerated for robustness.
-            SessionCommand::Snapshot { .. }
-            | SessionCommand::FetchRange { .. }
-            | SessionCommand::ReplayFrom { .. }
-            | SessionCommand::SeekTo { .. }
-            | SessionCommand::StepBack { .. }
-            | SessionCommand::ReplayWindow { .. } => {}
-        }
+        let budget = record
+            .command
+            .apply(&mut session)
+            .map_err(|e| format!("session {id}: replay stimulus failed: {e}"))?;
+        total_budget_ns = total_budget_ns.saturating_add(budget);
     }
     let remaining_ns = total_budget_ns.saturating_sub(session.now_ns());
 

@@ -19,22 +19,26 @@
 //!   concurrently ([`ClientFrame::Attach`] / [`ClientFrame::Detach`]),
 //!   addresses every [`SessionCommand`] at an explicit session, and
 //!   polls the live session directory ([`ClientFrame::ListSessions`] /
-//!   [`ServerFrame::Sessions`]). The server interleaves command replies
-//!   (`Ack` / `Snapshot` / `Error`) with the attached sessions' merged
-//!   [`EngineEvent`] stream on the same socket; every event carries its
-//!   session id, so frames demultiplex client-side without per-session
-//!   sockets.
+//!   [`ServerFrame::Sessions`]). The server interleaves request replies
+//!   with the attached sessions' merged [`EngineEvent`] stream on the
+//!   same socket; every event carries its session id, so frames
+//!   demultiplex client-side without per-session sockets.
+//! * **Requests**: a [`ClientFrame::Command`] carries one plain-data
+//!   [`SessionCommand`], and its answer is the session's [`Reply`]
+//!   mapped one-to-one onto a frame (`Ack`, `Snapshot`, `Trace` or
+//!   `Seek`), or an `Error` — the wire is a thin transport around
+//!   [`crate::SessionHandle::call`].
 //!
-//! The JSON encoding of every payload type is exactly the vendored
-//! serde shim's derive format, so a wire round-trip of an event stream
-//! is byte-identical to serializing the in-process broadcast
-//! (`crates/server/tests/wire.rs` pins this down).
+//! Every payload type uses the vendored serde shim's derive format, so
+//! a wire round-trip of an event stream is byte-identical to
+//! serializing the in-process broadcast (`crates/server/tests/wire.rs`
+//! pins this down, and `crates/server/tests/golden_frames.rs` pins the
+//! exact v6 bytes).
 
 use crate::event::{EngineEvent, SeekReport, SessionSnapshot, TraceSlice};
 use crate::metrics::{MetricsSnapshot, QuarantinedSession, SessionInfo};
-use crate::server::{SessionCommand, SessionId};
-use serde::{content_get, Content, DeError, Deserialize, Serialize};
-use std::sync::mpsc;
+use crate::server::{Reply, SessionCommand, SessionId};
+use serde::{Deserialize, Serialize};
 
 /// Protocol revision spoken by this build. Strict equality is required
 /// at handshake time. Version 2 added the history-paging pair
@@ -106,11 +110,10 @@ pub enum ClientFrame {
         /// The session to detach.
         session: SessionId,
     },
-    /// Post one command to a hosted session's mailbox.
-    /// [`SessionCommand::Snapshot`] is answered with
-    /// [`ServerFrame::Snapshot`]; everything else with
-    /// [`ServerFrame::Ack`]. Commands are session-addressed and need no
-    /// prior attach.
+    /// Post one request to a hosted session. State changes are answered
+    /// with [`ServerFrame::Ack`] once queued; each query with the frame
+    /// of its [`Reply`] kind (`Snapshot`, `Trace` or `Seek`). Commands
+    /// are session-addressed and need no prior attach.
     Command {
         /// Client-chosen request id, echoed in the reply.
         seq: u64,
@@ -165,8 +168,8 @@ pub enum ServerFrame {
         /// session is missing from `sessions`.
         quarantined: Vec<QuarantinedSession>,
     },
-    /// A non-snapshot request was accepted (attach done, command in
-    /// the mailbox).
+    /// A request without a data reply was accepted (attach or detach
+    /// done, state change in the mailbox).
     Ack {
         /// The request id this acknowledges.
         seq: u64,
@@ -188,9 +191,9 @@ pub enum ServerFrame {
         /// The consistent point-in-time view.
         snapshot: SessionSnapshot,
     },
-    /// Reply to a [`SessionCommand::FetchRange`] or
-    /// [`SessionCommand::ReplayFrom`] command: one page of trace
-    /// history.
+    /// Reply to a [`SessionCommand::FetchRange`],
+    /// [`SessionCommand::ReplayFrom`] or [`SessionCommand::ReplayWindow`]
+    /// command: one page of trace history.
     Trace {
         /// The request id this answers.
         seq: u64,
@@ -244,193 +247,27 @@ pub enum ServerFrame {
     },
 }
 
-fn tagged(tag: &str, fields: Vec<(Content, Content)>) -> Content {
-    Content::Map(vec![(Content::Str(tag.to_owned()), Content::Map(fields))])
-}
-
-fn field(name: &str, value: Content) -> (Content, Content) {
-    (Content::Str(name.to_owned()), value)
-}
-
-fn get<T: Deserialize>(fields: &[(Content, Content)], name: &str) -> Result<T, DeError> {
-    T::from_content(content_get(fields, name).ok_or_else(|| DeError::missing(name))?)
-}
-
-// `SessionCommand` cannot derive its serde impls: the `Snapshot`
-// variant carries an in-process reply channel. On the wire the variant
-// is just `{"Snapshot":{"include_trace":…}}`; deserialization installs
-// a dangling reply sender, which the wire server replaces with its own
-// before forwarding (`apply_command` tolerates a dead reply channel).
-// Every other variant matches the derive format exactly.
-impl Serialize for SessionCommand {
-    fn to_content(&self) -> Content {
-        match self {
-            SessionCommand::ScheduleSignal {
-                time_ns,
-                label,
-                value,
-            } => tagged(
-                "ScheduleSignal",
-                vec![
-                    field("time_ns", time_ns.to_content()),
-                    field("label", label.to_content()),
-                    field("value", value.to_content()),
-                ],
-            ),
-            SessionCommand::AddBreakpoint { matcher, one_shot } => tagged(
-                "AddBreakpoint",
-                vec![
-                    field("matcher", matcher.to_content()),
-                    field("one_shot", one_shot.to_content()),
-                ],
-            ),
-            SessionCommand::ClearBreakpoints => Content::Str("ClearBreakpoints".to_owned()),
-            SessionCommand::Step => Content::Str("Step".to_owned()),
-            SessionCommand::Resume => Content::Str("Resume".to_owned()),
-            SessionCommand::RunFor { duration_ns } => tagged(
-                "RunFor",
-                vec![field("duration_ns", duration_ns.to_content())],
-            ),
-            SessionCommand::Snapshot { include_trace, .. } => tagged(
-                "Snapshot",
-                vec![field("include_trace", include_trace.to_content())],
-            ),
-            SessionCommand::FetchRange { t0_ns, t1_ns, .. } => tagged(
-                "FetchRange",
-                vec![
-                    field("t0_ns", t0_ns.to_content()),
-                    field("t1_ns", t1_ns.to_content()),
-                ],
-            ),
-            SessionCommand::ReplayFrom { seq, limit, .. } => tagged(
-                "ReplayFrom",
-                vec![
-                    field("seq", seq.to_content()),
-                    field("limit", limit.to_content()),
-                ],
-            ),
-            SessionCommand::SeekTo {
-                t_ns,
-                include_trace,
-                ..
-            } => tagged(
-                "SeekTo",
-                vec![
-                    field("t_ns", t_ns.to_content()),
-                    field("include_trace", include_trace.to_content()),
-                ],
-            ),
-            SessionCommand::StepBack {
-                entries,
-                include_trace,
-                ..
-            } => tagged(
-                "StepBack",
-                vec![
-                    field("entries", entries.to_content()),
-                    field("include_trace", include_trace.to_content()),
-                ],
-            ),
-            SessionCommand::ReplayWindow { t0_ns, t1_ns, .. } => tagged(
-                "ReplayWindow",
-                vec![
-                    field("t0_ns", t0_ns.to_content()),
-                    field("t1_ns", t1_ns.to_content()),
-                ],
-            ),
+impl ServerFrame {
+    /// The frame answering request `seq` with a session's [`Reply`].
+    pub(crate) fn from_reply(seq: u64, reply: Reply) -> Self {
+        match reply {
+            Reply::Ack => ServerFrame::Ack { seq },
+            Reply::Snapshot(snapshot) => ServerFrame::Snapshot { seq, snapshot },
+            Reply::Trace(slice) => ServerFrame::Trace { seq, slice },
+            Reply::Seek(report) => ServerFrame::Seek { seq, report },
         }
     }
-}
 
-impl Deserialize for SessionCommand {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        if let Some(tag) = c.as_str() {
-            return match tag {
-                "ClearBreakpoints" => Ok(SessionCommand::ClearBreakpoints),
-                "Step" => Ok(SessionCommand::Step),
-                "Resume" => Ok(SessionCommand::Resume),
-                other => Err(DeError::custom(format!(
-                    "unknown variant `{other}` of SessionCommand"
-                ))),
-            };
-        }
-        let entries = c
-            .as_map()
-            .ok_or_else(|| DeError::custom("expected variant map for SessionCommand"))?;
-        let (tag, body) = entries
-            .first()
-            .ok_or_else(|| DeError::custom("empty variant map for SessionCommand"))?;
-        let tag = tag
-            .as_str()
-            .ok_or_else(|| DeError::custom("expected string variant tag"))?;
-        let fields = body
-            .as_map()
-            .ok_or_else(|| DeError::custom(format!("expected field map for `{tag}`")))?;
-        match tag {
-            "ScheduleSignal" => Ok(SessionCommand::ScheduleSignal {
-                time_ns: get(fields, "time_ns")?,
-                label: get(fields, "label")?,
-                value: get(fields, "value")?,
-            }),
-            "AddBreakpoint" => Ok(SessionCommand::AddBreakpoint {
-                matcher: get(fields, "matcher")?,
-                one_shot: get(fields, "one_shot")?,
-            }),
-            "RunFor" => Ok(SessionCommand::RunFor {
-                duration_ns: get(fields, "duration_ns")?,
-            }),
-            "Snapshot" => {
-                // The wire carries no reply channel; install a dangling
-                // sender the transport re-wires before forwarding.
-                let (reply, _) = mpsc::channel();
-                Ok(SessionCommand::Snapshot {
-                    reply,
-                    include_trace: get(fields, "include_trace")?,
-                })
-            }
-            "FetchRange" => {
-                let (reply, _) = mpsc::channel();
-                Ok(SessionCommand::FetchRange {
-                    t0_ns: get(fields, "t0_ns")?,
-                    t1_ns: get(fields, "t1_ns")?,
-                    reply,
-                })
-            }
-            "ReplayFrom" => {
-                let (reply, _) = mpsc::channel();
-                Ok(SessionCommand::ReplayFrom {
-                    seq: get(fields, "seq")?,
-                    limit: get(fields, "limit")?,
-                    reply,
-                })
-            }
-            "SeekTo" => {
-                let (reply, _) = mpsc::channel();
-                Ok(SessionCommand::SeekTo {
-                    t_ns: get(fields, "t_ns")?,
-                    include_trace: get(fields, "include_trace")?,
-                    reply,
-                })
-            }
-            "StepBack" => {
-                let (reply, _) = mpsc::channel();
-                Ok(SessionCommand::StepBack {
-                    entries: get(fields, "entries")?,
-                    include_trace: get(fields, "include_trace")?,
-                    reply,
-                })
-            }
-            "ReplayWindow" => {
-                let (reply, _) = mpsc::channel();
-                Ok(SessionCommand::ReplayWindow {
-                    t0_ns: get(fields, "t0_ns")?,
-                    t1_ns: get(fields, "t1_ns")?,
-                    reply,
-                })
-            }
-            other => Err(DeError::custom(format!(
-                "unknown variant `{other}` of SessionCommand"
-            ))),
+    /// The session [`Reply`] this frame carries, or the frame itself
+    /// when it is something else (an error, an event, a server-scope
+    /// answer).
+    pub(crate) fn into_reply(self) -> Result<Reply, ServerFrame> {
+        match self {
+            ServerFrame::Ack { .. } => Ok(Reply::Ack),
+            ServerFrame::Snapshot { snapshot, .. } => Ok(Reply::Snapshot(snapshot)),
+            ServerFrame::Trace { slice, .. } => Ok(Reply::Trace(slice)),
+            ServerFrame::Seek { report, .. } => Ok(Reply::Seek(report)),
+            other => Err(other),
         }
     }
 }

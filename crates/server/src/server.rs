@@ -37,6 +37,7 @@ use gmdf_engine::{
     MemStore, OffsetMemStore, Retention, SegmentConfig, StoreError, TraceEntry,
 };
 use gmdf_gdm::CommandMatcher;
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
@@ -221,12 +222,17 @@ pub const MAX_FETCH_ENTRIES: u64 = 4096;
 /// oversized record.
 pub const MAX_FETCH_BYTES: u64 = 32 * 1024 * 1024;
 
-/// A command posted to a session's mailbox.
+/// One request to a hosted session — the whole vocabulary, shared by
+/// the in-process [`SessionHandle::call`], the wire
+/// ([`crate::proto::ClientFrame::Command`]) and the durable journal.
 ///
-/// Commands are applied in arrival order at the session's next
-/// scheduling turn. Posting never blocks; a failed session still
-/// services `Snapshot` but ignores run budget.
-#[derive(Debug, Clone)]
+/// Plain data: the first six variants change session state (durable
+/// sessions journal them), the other six are queries
+/// ([`SessionCommand::is_query`]) answered with a [`Reply`] and never
+/// journaled. Requests are applied in arrival order at the session's
+/// next scheduling turn; a failed session still answers queries but
+/// ignores run budget.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum SessionCommand {
     /// Schedule an environment stimulus on the target. An unknown label
     /// fails the session (it indicates a wiring bug in the client).
@@ -258,31 +264,28 @@ pub enum SessionCommand {
         /// Additional target time to run, in nanoseconds.
         duration_ns: u64,
     },
-    /// Reply with a consistent snapshot of the session.
+    /// Query: a consistent [`Reply::Snapshot`] of the session.
     Snapshot {
-        /// Where to deliver the snapshot.
-        reply: mpsc::Sender<SessionSnapshot>,
         /// Also serialize the full trace (O(trace length); leave off
         /// for cheap counter polls).
         include_trace: bool,
     },
-    /// Reply with the trace entries whose event time falls in
-    /// `[t0_ns, t1_ns]` — located through the store's time index, so a
-    /// narrow window over a long disk-backed trace reads only its own
-    /// segments. Capped at [`MAX_FETCH_ENTRIES`] entries and
-    /// [`MAX_FETCH_BYTES`] of encoded payload.
+    /// Query: the trace entries whose event time falls in
+    /// `[t0_ns, t1_ns]` as one [`Reply::Trace`] page — located through
+    /// the store's time index, so a narrow window over a long
+    /// disk-backed trace reads only its own segments. Capped at
+    /// [`MAX_FETCH_ENTRIES`] entries and [`MAX_FETCH_BYTES`] of encoded
+    /// payload.
     FetchRange {
         /// Window start (inclusive), in target nanoseconds.
         t0_ns: u64,
         /// Window end (inclusive), in target nanoseconds.
         t1_ns: u64,
-        /// Where to deliver the page.
-        reply: mpsc::Sender<TraceSlice>,
     },
-    /// Reply with up to `limit` trace entries starting at sequence
-    /// number `seq` — how clients page history (including the persisted
-    /// pre-restart prefix of a durable session) without holding the
-    /// whole trace.
+    /// Query: up to `limit` trace entries starting at sequence number
+    /// `seq`, as one [`Reply::Trace`] page — how clients page history
+    /// (including the persisted pre-restart prefix of a durable
+    /// session) without holding the whole trace.
     ReplayFrom {
         /// First sequence number wanted.
         seq: u64,
@@ -290,52 +293,152 @@ pub enum SessionCommand {
         /// larger values are clamped to it. The reply is additionally
         /// bounded by [`MAX_FETCH_BYTES`] of encoded payload.
         limit: u64,
-        /// Where to deliver the page.
-        reply: mpsc::Sender<TraceSlice>,
     },
-    /// Reply with a [`SeekReport`] for the session's state at target
-    /// time `t_ns` (clamped to the live clock). The server restores the
+    /// Query: a [`Reply::Seek`] for the session's state at target time
+    /// `t_ns` (clamped to the live clock). The server restores the
     /// nearest checkpoint image at or before the target into a
     /// detached replica and deterministically replays it forward —
     /// O(checkpoint stride), not O(trace length). The live session is
-    /// never touched. Requires a durable session; a seek failure is
-    /// reported on the reply channel, never by failing the session.
+    /// never touched. Requires a durable session; a seek failure is the
+    /// request's [`ServerError::Persist`], never a session failure.
     SeekTo {
         /// Target instant, in target nanoseconds.
         t_ns: u64,
         /// Also serialize the replica's full trace into
         /// [`SeekReport::trace_json`] (O(trace length) to build).
         include_trace: bool,
-        /// Where to deliver the report (or the seek error).
-        reply: mpsc::Sender<Result<SeekReport, String>>,
     },
-    /// Reply with a [`SeekReport`] for the instant `entries` trace
-    /// entries before the current end of the trace — "rewind N steps".
-    /// Same checkpoint-restore machinery as [`Self::SeekTo`]; stepping
-    /// below the trace's retention floor is an error.
+    /// Query: a [`Reply::Seek`] for the instant `entries` trace entries
+    /// before the current end of the trace — "rewind N steps". Same
+    /// checkpoint-restore machinery as [`Self::SeekTo`]; stepping below
+    /// the trace's retention floor is an error.
     StepBack {
         /// How many trace entries to step back from the end.
         entries: u64,
         /// Also serialize the replica's full trace.
         include_trace: bool,
-        /// Where to deliver the report (or the seek error).
-        reply: mpsc::Sender<Result<SeekReport, String>>,
     },
-    /// Reply with the trace entries whose event time falls in
+    /// Query: the trace entries whose event time falls in
     /// `[t0_ns, t1_ns]`, regenerated by checkpoint-restore + replay
     /// rather than read from the live store — so the window is
     /// available even on a session whose early segments were evicted,
     /// as long as a checkpoint precedes it. Paged exactly like
-    /// [`Self::FetchRange`] (same caps, same [`TraceSlice`] contract).
+    /// [`Self::FetchRange`] (same caps, same [`TraceSlice`] contract);
+    /// fails like [`Self::SeekTo`].
     ReplayWindow {
         /// Window start (inclusive), in target nanoseconds.
         t0_ns: u64,
         /// Window end (inclusive), in target nanoseconds.
         t1_ns: u64,
-        /// Where to deliver the page (or the seek error).
-        reply: mpsc::Sender<Result<TraceSlice, String>>,
     },
 }
+
+impl SessionCommand {
+    /// `true` for the six read-only queries. Queries are answered with a
+    /// [`Reply`] carrying data and are not part of the replayable
+    /// history; everything else changes session state, is acknowledged
+    /// on enqueue ([`Reply::Ack`]) and is journaled by durable sessions.
+    pub fn is_query(&self) -> bool {
+        matches!(
+            self,
+            SessionCommand::Snapshot { .. }
+                | SessionCommand::FetchRange { .. }
+                | SessionCommand::ReplayFrom { .. }
+                | SessionCommand::SeekTo { .. }
+                | SessionCommand::StepBack { .. }
+                | SessionCommand::ReplayWindow { .. }
+        )
+    }
+
+    /// Applies a state-changing command to `session` and returns the run
+    /// budget it grants (`RunFor`'s duration, else 0) — the caller
+    /// decides whether to bank it (live session, restart replay) or let
+    /// its own pump realize it (seek replica). Queries change nothing.
+    /// The one place a journaled command takes effect: the live
+    /// session, the restart replay and the seek replica all go through
+    /// it, so the three cannot drift apart.
+    pub(crate) fn apply(&self, session: &mut DebugSession) -> Result<u64, String> {
+        match self {
+            SessionCommand::ScheduleSignal {
+                time_ns,
+                label,
+                value,
+            } => session
+                .schedule_signal(*time_ns, label, *value)
+                .map_err(|e| e.to_string())?,
+            SessionCommand::AddBreakpoint { matcher, one_shot } => {
+                session
+                    .engine_mut()
+                    .add_breakpoint(matcher.clone(), *one_shot);
+            }
+            SessionCommand::ClearBreakpoints => session.engine_mut().clear_breakpoints(),
+            SessionCommand::Step => {
+                session.engine_mut().step();
+            }
+            SessionCommand::Resume => {
+                session.engine_mut().resume();
+            }
+            SessionCommand::RunFor { duration_ns } => return Ok(*duration_ns),
+            SessionCommand::Snapshot { .. }
+            | SessionCommand::FetchRange { .. }
+            | SessionCommand::ReplayFrom { .. }
+            | SessionCommand::SeekTo { .. }
+            | SessionCommand::StepBack { .. }
+            | SessionCommand::ReplayWindow { .. } => {}
+        }
+        Ok(0)
+    }
+}
+
+/// The answer to one [`SessionCommand`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reply {
+    /// A state change was accepted into the mailbox.
+    Ack,
+    /// Answer to [`SessionCommand::Snapshot`].
+    Snapshot(SessionSnapshot),
+    /// Answer to [`SessionCommand::FetchRange`],
+    /// [`SessionCommand::ReplayFrom`] and
+    /// [`SessionCommand::ReplayWindow`]: one page of trace history.
+    Trace(TraceSlice),
+    /// Answer to [`SessionCommand::SeekTo`] and
+    /// [`SessionCommand::StepBack`] (boxed: the optional serialized
+    /// trace makes it the largest reply).
+    Seek(Box<SeekReport>),
+}
+
+impl TryFrom<Reply> for SessionSnapshot {
+    type Error = Reply;
+    fn try_from(reply: Reply) -> Result<Self, Reply> {
+        match reply {
+            Reply::Snapshot(snapshot) => Ok(snapshot),
+            other => Err(other),
+        }
+    }
+}
+
+impl TryFrom<Reply> for TraceSlice {
+    type Error = Reply;
+    fn try_from(reply: Reply) -> Result<Self, Reply> {
+        match reply {
+            Reply::Trace(slice) => Ok(slice),
+            other => Err(other),
+        }
+    }
+}
+
+impl TryFrom<Reply> for SeekReport {
+    type Error = Reply;
+    fn try_from(reply: Reply) -> Result<Self, Reply> {
+        match reply {
+            Reply::Seek(report) => Ok(*report),
+            other => Err(other),
+        }
+    }
+}
+
+/// Where a query's answer goes: the waiting [`SessionHandle::call`].
+type ReplyTx = mpsc::Sender<Result<Reply, ServerError>>;
 
 /// Server-side failure surfaced to clients.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -428,7 +531,7 @@ struct SessionCell {
     /// Paired with `inner`; notified whenever a turn leaves the session
     /// quiescent.
     idle_cv: Condvar,
-    mailbox: Mutex<VecDeque<SessionCommand>>,
+    mailbox: Mutex<VecDeque<(SessionCommand, Option<ReplyTx>)>>,
     /// `true` while the session sits in (or is being pushed onto) its
     /// shard's run queue.
     queued: AtomicBool,
@@ -440,6 +543,28 @@ struct SessionCell {
     /// Analysis failures degrade to a one-error report — a session is
     /// never refused over its diagnostics.
     analysis: Arc<AnalysisReport>,
+}
+
+impl SessionCell {
+    /// `true` while the session has work: run budget, a turn queued, or
+    /// mail. Takes the mailbox lock, so the caller holds `inner` (lock
+    /// order `inner → mailbox`).
+    fn busy(&self, inner: &SessionInner) -> bool {
+        inner.remaining_ns > 0
+            || self.queued.load(Ordering::SeqCst)
+            || !lock(&self.mailbox).is_empty()
+    }
+
+    /// The health state directory and metrics rows report.
+    fn health(&self, inner: &SessionInner) -> HealthState {
+        if inner.failed.is_some() {
+            HealthState::Failed
+        } else if self.busy(inner) {
+            HealthState::Running
+        } else {
+            HealthState::Parked
+        }
+    }
 }
 
 /// One worker's run queue.
@@ -804,16 +929,7 @@ impl DebugServer {
         let mut rows = Vec::with_capacity(cells.len() + self.quarantined.len());
         for cell in &cells {
             let inner = lock(&cell.inner);
-            let state = if inner.failed.is_some() {
-                HealthState::Failed
-            } else if inner.remaining_ns > 0
-                || cell.queued.load(Ordering::SeqCst)
-                || !lock(&cell.mailbox).is_empty()
-            {
-                HealthState::Running
-            } else {
-                HealthState::Parked
-            };
+            let state = cell.health(&inner);
             rows.push(SessionInfo {
                 session: cell.id,
                 state,
@@ -871,16 +987,7 @@ impl DebugServer {
         let mut sessions = Vec::with_capacity(cells.len() + self.quarantined.len());
         for cell in &cells {
             let inner = lock(&cell.inner);
-            let state = if inner.failed.is_some() {
-                HealthState::Failed
-            } else if inner.remaining_ns > 0
-                || cell.queued.load(Ordering::SeqCst)
-                || !lock(&cell.mailbox).is_empty()
-            {
-                HealthState::Running
-            } else {
-                HealthState::Parked
-            };
+            let state = cell.health(&inner);
             let store_stats = inner.session.engine().trace().store_stats();
             let (memo_hits, memo_misses) = inner.session.simulator().memo_stats();
             fleet.events_fed += inner.events_fed;
@@ -1003,12 +1110,32 @@ impl SessionHandle {
         Arc::clone(&self.cell.analysis)
     }
 
-    /// Posts a command to the session's mailbox and wakes its shard.
+    /// Sends one request to the session — the single in-process entry
+    /// point every typed verb below wraps. A state change is posted to
+    /// the mailbox and acknowledged at once with [`Reply::Ack`] (it takes
+    /// effect at the session's next turn; `timeout` is unused). A query
+    /// ([`SessionCommand::is_query`]) round-trips through the mailbox —
+    /// so its answer is ordered after every request posted before it —
+    /// and waits up to `timeout` for its reply.
     ///
     /// # Errors
     ///
-    /// Returns [`ServerError::Shutdown`] after the server stopped.
-    pub fn send(&self, command: SessionCommand) -> Result<(), ServerError> {
+    /// [`ServerError::Shutdown`] if the server stops first,
+    /// [`ServerError::Timeout`] if a query's `timeout` elapses,
+    /// [`ServerError::SessionFailed`] when a history read fails the
+    /// session, [`ServerError::Persist`] when a seek cannot be served.
+    pub fn call(&self, command: SessionCommand, timeout: Duration) -> Result<Reply, ServerError> {
+        if !command.is_query() {
+            self.post(command, None)?;
+            return Ok(Reply::Ack);
+        }
+        let (tx, rx) = mpsc::channel();
+        self.post(command, Some(tx))?;
+        self.await_reply(&rx, timeout)
+    }
+
+    /// Posts a request to the session's mailbox and wakes its shard.
+    fn post(&self, command: SessionCommand, reply: Option<ReplyTx>) -> Result<(), ServerError> {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return Err(ServerError::Shutdown);
         }
@@ -1019,12 +1146,25 @@ impl SessionHandle {
         if self.shared.metrics.enabled() {
             self.shared.metrics.mailbox_depth.inc();
         }
-        lock(&self.cell.mailbox).push_back(command);
+        lock(&self.cell.mailbox).push_back((command, reply));
         if self.shared.enqueue(&self.cell) {
             Ok(())
         } else {
             Err(ServerError::Shutdown)
         }
+    }
+
+    /// [`SessionHandle::call`] for a query, unpacked into its reply type.
+    fn query<T: TryFrom<Reply, Error = Reply>>(
+        &self,
+        command: SessionCommand,
+        timeout: Duration,
+    ) -> Result<T, ServerError> {
+        let reply = self.call(command, timeout)?;
+        Ok(
+            T::try_from(reply)
+                .unwrap_or_else(|other| unreachable!("query answered with {other:?}")),
+        )
     }
 
     /// Subscribes to the session's broadcast stream from this point on,
@@ -1041,15 +1181,7 @@ impl SessionHandle {
     /// Like [`SessionHandle::subscribe`] with an explicit queue
     /// capacity (`0` = unbounded, the legacy behaviour).
     pub fn subscribe_with_capacity(&self, capacity: usize) -> EventReceiver {
-        let mut inner = lock(&self.cell.inner);
-        let depth = self
-            .shared
-            .metrics
-            .enabled()
-            .then(|| self.shared.metrics.subscriber_depth.clone());
-        let (tx, rx) = queue::channel(self.cell.id, capacity, inner.lagged.clone(), depth, None);
-        inner.subscribers.push(tx);
-        rx
+        self.subscribe_queue(capacity, None)
     }
 
     /// The wire streamer's subscription: like
@@ -1063,19 +1195,21 @@ impl SessionHandle {
         notify: Arc<crate::queue::Notify>,
     ) -> EventReceiver {
         let capacity = capacity.unwrap_or(self.shared.default_subscriber_capacity);
+        self.subscribe_queue(capacity, Some(notify))
+    }
+
+    fn subscribe_queue(
+        &self,
+        capacity: usize,
+        notify: Option<Arc<crate::queue::Notify>>,
+    ) -> EventReceiver {
         let mut inner = lock(&self.cell.inner);
         let depth = self
             .shared
             .metrics
             .enabled()
             .then(|| self.shared.metrics.subscriber_depth.clone());
-        let (tx, rx) = queue::channel(
-            self.cell.id,
-            capacity,
-            inner.lagged.clone(),
-            depth,
-            Some(notify),
-        );
+        let (tx, rx) = queue::channel(self.cell.id, capacity, inner.lagged.clone(), depth, notify);
         inner.subscribers.push(tx);
         rx
     }
@@ -1086,7 +1220,8 @@ impl SessionHandle {
     ///
     /// Returns [`ServerError::Shutdown`] after the server stopped.
     pub fn run_for(&self, duration_ns: u64) -> Result<(), ServerError> {
-        self.send(SessionCommand::RunFor { duration_ns })
+        self.call(SessionCommand::RunFor { duration_ns }, Duration::ZERO)
+            .map(drop)
     }
 
     /// Convenience: [`SessionCommand::ScheduleSignal`].
@@ -1100,11 +1235,13 @@ impl SessionHandle {
         label: &str,
         value: SignalValue,
     ) -> Result<(), ServerError> {
-        self.send(SessionCommand::ScheduleSignal {
+        let label = label.to_owned();
+        let command = SessionCommand::ScheduleSignal {
             time_ns,
-            label: label.to_owned(),
+            label,
             value,
-        })
+        };
+        self.call(command, Duration::ZERO).map(drop)
     }
 
     /// Convenience: [`SessionCommand::AddBreakpoint`].
@@ -1117,7 +1254,11 @@ impl SessionHandle {
         matcher: CommandMatcher,
         one_shot: bool,
     ) -> Result<(), ServerError> {
-        self.send(SessionCommand::AddBreakpoint { matcher, one_shot })
+        self.call(
+            SessionCommand::AddBreakpoint { matcher, one_shot },
+            Duration::ZERO,
+        )
+        .map(drop)
     }
 
     /// Convenience: [`SessionCommand::ClearBreakpoints`].
@@ -1126,7 +1267,8 @@ impl SessionHandle {
     ///
     /// Returns [`ServerError::Shutdown`] after the server stopped.
     pub fn clear_breakpoints(&self) -> Result<(), ServerError> {
-        self.send(SessionCommand::ClearBreakpoints)
+        self.call(SessionCommand::ClearBreakpoints, Duration::ZERO)
+            .map(drop)
     }
 
     /// Convenience: [`SessionCommand::Step`].
@@ -1135,7 +1277,7 @@ impl SessionHandle {
     ///
     /// Returns [`ServerError::Shutdown`] after the server stopped.
     pub fn step(&self) -> Result<(), ServerError> {
-        self.send(SessionCommand::Step)
+        self.call(SessionCommand::Step, Duration::ZERO).map(drop)
     }
 
     /// Convenience: [`SessionCommand::Resume`].
@@ -1144,22 +1286,24 @@ impl SessionHandle {
     ///
     /// Returns [`ServerError::Shutdown`] after the server stopped.
     pub fn resume(&self) -> Result<(), ServerError> {
-        self.send(SessionCommand::Resume)
+        self.call(SessionCommand::Resume, Duration::ZERO).map(drop)
     }
 
-    /// Round-trips a [`SessionCommand::Snapshot`] through the mailbox —
-    /// the snapshot is therefore ordered after every command posted
-    /// before it — including the serialized trace (O(trace length):
-    /// the *whole* record is materialized, even from a disk-backed
-    /// store; for long durable sessions page it with
+    /// A [`SessionCommand::Snapshot`] including the serialized trace
+    /// (O(trace length): the *whole* record is materialized, even from
+    /// a disk-backed store; for long durable sessions page it with
     /// [`SessionHandle::replay_from`] instead).
     ///
     /// # Errors
     ///
-    /// [`ServerError::Shutdown`] if the server stops first,
-    /// [`ServerError::Timeout`] if `timeout` elapses.
+    /// As [`SessionHandle::call`].
     pub fn snapshot(&self, timeout: Duration) -> Result<SessionSnapshot, ServerError> {
-        self.snapshot_inner(timeout, true)
+        self.query(
+            SessionCommand::Snapshot {
+                include_trace: true,
+            },
+            timeout,
+        )
     }
 
     /// Like [`SessionHandle::snapshot`] but without serializing the
@@ -1167,77 +1311,52 @@ impl SessionHandle {
     ///
     /// # Errors
     ///
-    /// [`ServerError::Shutdown`] if the server stops first,
-    /// [`ServerError::Timeout`] if `timeout` elapses.
+    /// As [`SessionHandle::call`].
     pub fn stats(&self, timeout: Duration) -> Result<SessionSnapshot, ServerError> {
-        self.snapshot_inner(timeout, false)
+        self.query(
+            SessionCommand::Snapshot {
+                include_trace: false,
+            },
+            timeout,
+        )
     }
 
-    fn snapshot_inner(
-        &self,
-        timeout: Duration,
-        include_trace: bool,
-    ) -> Result<SessionSnapshot, ServerError> {
-        let (tx, rx) = mpsc::channel();
-        self.send(SessionCommand::Snapshot {
-            reply: tx,
-            include_trace,
-        })?;
-        self.await_reply(&rx, timeout)
-    }
-
-    /// Fetches the trace entries whose event time falls in
-    /// `[t0_ns, t1_ns]` (one page, capped at [`MAX_FETCH_ENTRIES`]).
-    /// Round-trips through the mailbox like a snapshot, so it is
-    /// ordered after every command posted before it.
+    /// [`SessionCommand::FetchRange`]: the trace entries whose event
+    /// time falls in `[t0_ns, t1_ns]` (one page, capped at
+    /// [`MAX_FETCH_ENTRIES`]).
     ///
     /// # Errors
     ///
-    /// [`ServerError::Shutdown`] if the server stops first,
-    /// [`ServerError::Timeout`] if `timeout` elapses.
+    /// As [`SessionHandle::call`].
     pub fn fetch_range(
         &self,
         t0_ns: u64,
         t1_ns: u64,
         timeout: Duration,
     ) -> Result<TraceSlice, ServerError> {
-        let (tx, rx) = mpsc::channel();
-        self.send(SessionCommand::FetchRange {
-            t0_ns,
-            t1_ns,
-            reply: tx,
-        })?;
-        self.await_reply(&rx, timeout)
+        self.query(SessionCommand::FetchRange { t0_ns, t1_ns }, timeout)
     }
 
-    /// Fetches up to `limit` trace entries starting at sequence number
-    /// `seq` (`0` = the server cap) — the paging read over a session's
-    /// full history, including the persisted pre-restart prefix of a
-    /// durable session.
+    /// [`SessionCommand::ReplayFrom`]: up to `limit` trace entries
+    /// starting at sequence number `seq` (`0` = the server cap) — the
+    /// paging read over a session's full history, including the
+    /// persisted pre-restart prefix of a durable session.
     ///
     /// # Errors
     ///
-    /// [`ServerError::Shutdown`] if the server stops first,
-    /// [`ServerError::Timeout`] if `timeout` elapses.
+    /// As [`SessionHandle::call`].
     pub fn replay_from(
         &self,
         seq: u64,
         limit: u64,
         timeout: Duration,
     ) -> Result<TraceSlice, ServerError> {
-        let (tx, rx) = mpsc::channel();
-        self.send(SessionCommand::ReplayFrom {
-            seq,
-            limit,
-            reply: tx,
-        })?;
-        self.await_reply(&rx, timeout)
+        self.query(SessionCommand::ReplayFrom { seq, limit }, timeout)
     }
 
-    /// Seeks the session's history to target time `t_ns` (clamped to
-    /// the live clock): restores the nearest checkpoint image at or
-    /// before the target into a detached replica and deterministically
-    /// replays it forward — O(checkpoint stride), not O(trace
+    /// [`SessionCommand::SeekTo`]: the session's history at target time
+    /// `t_ns` (clamped to the live clock), rebuilt in a detached replica
+    /// from the nearest checkpoint — O(checkpoint stride), not O(trace
     /// length). The live session is untouched. With `include_trace` the
     /// report carries the replica's full serialized trace,
     /// byte-identical to an uninterrupted run's at the same instant.
@@ -1253,42 +1372,40 @@ impl SessionHandle {
         include_trace: bool,
         timeout: Duration,
     ) -> Result<SeekReport, ServerError> {
-        let (tx, rx) = mpsc::channel();
-        self.send(SessionCommand::SeekTo {
-            t_ns,
-            include_trace,
-            reply: tx,
-        })?;
-        self.await_reply(&rx, timeout)?
-            .map_err(ServerError::Persist)
+        self.query(
+            SessionCommand::SeekTo {
+                t_ns,
+                include_trace,
+            },
+            timeout,
+        )
     }
 
-    /// Rewinds the session's history `entries` trace entries from the
-    /// current end of the trace — same machinery (and same errors) as
-    /// [`SessionHandle::seek_to`]. Stepping below the trace's retention
-    /// floor is an error.
+    /// [`SessionCommand::StepBack`]: rewinds the session's history
+    /// `entries` trace entries from the current end of the trace — same
+    /// machinery (and same errors) as [`SessionHandle::seek_to`].
+    /// Stepping below the trace's retention floor is an error.
     pub fn step_back(
         &self,
         entries: u64,
         include_trace: bool,
         timeout: Duration,
     ) -> Result<SeekReport, ServerError> {
-        let (tx, rx) = mpsc::channel();
-        self.send(SessionCommand::StepBack {
-            entries,
-            include_trace,
-            reply: tx,
-        })?;
-        self.await_reply(&rx, timeout)?
-            .map_err(ServerError::Persist)
+        self.query(
+            SessionCommand::StepBack {
+                entries,
+                include_trace,
+            },
+            timeout,
+        )
     }
 
-    /// Replays the trace window `[t0_ns, t1_ns]` through
-    /// checkpoint-restore + deterministic re-execution and returns it
-    /// as one [`TraceSlice`] page (same caps and continuation contract
-    /// as [`SessionHandle::fetch_range`]). Works even when the live
-    /// store has evicted the window's segments, as long as a checkpoint
-    /// precedes it.
+    /// [`SessionCommand::ReplayWindow`]: the trace window
+    /// `[t0_ns, t1_ns]` regenerated through checkpoint-restore +
+    /// deterministic re-execution, as one [`TraceSlice`] page (same caps
+    /// and continuation contract as [`SessionHandle::fetch_range`]).
+    /// Works even when the live store has evicted the window's
+    /// segments, as long as a checkpoint precedes it.
     ///
     /// # Errors
     ///
@@ -1299,23 +1416,20 @@ impl SessionHandle {
         t1_ns: u64,
         timeout: Duration,
     ) -> Result<TraceSlice, ServerError> {
-        let (tx, rx) = mpsc::channel();
-        self.send(SessionCommand::ReplayWindow {
-            t0_ns,
-            t1_ns,
-            reply: tx,
-        })?;
-        self.await_reply(&rx, timeout)?
-            .map_err(ServerError::Persist)
+        self.query(SessionCommand::ReplayWindow { t0_ns, t1_ns }, timeout)
     }
 
-    /// Waits for a mailbox-routed reply, translating a dropped sender
-    /// into the session/server failure that caused it.
-    fn await_reply<T>(&self, rx: &mpsc::Receiver<T>, timeout: Duration) -> Result<T, ServerError> {
+    /// Waits for a query's reply, translating a dropped sender into the
+    /// session/server failure that caused it.
+    fn await_reply(
+        &self,
+        rx: &mpsc::Receiver<Result<Reply, ServerError>>,
+        timeout: Duration,
+    ) -> Result<Reply, ServerError> {
         let deadline = Instant::now() + timeout;
         loop {
             match rx.recv_timeout(POLL) {
-                Ok(reply) => return Ok(reply),
+                Ok(reply) => return reply,
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     // The reply sender was dropped undelivered. Usually
                     // that means shutdown — but a panicked turn unwinds
@@ -1353,10 +1467,7 @@ impl SessionHandle {
             if let Some(msg) = &inner.failed {
                 return Err(ServerError::SessionFailed(msg.clone()));
             }
-            let busy = inner.remaining_ns > 0
-                || self.cell.queued.load(Ordering::SeqCst)
-                || !lock(&self.cell.mailbox).is_empty();
-            if !busy {
+            if !self.cell.busy(&inner) {
                 return Ok(());
             }
             if self.shared.shutdown.load(Ordering::SeqCst) {
@@ -1471,15 +1582,22 @@ fn run_turn(shared: &Shared, cell: &Arc<SessionCell>) {
     // inner → mailbox): `wait_idle` checks "mailbox empty" under the
     // same `inner` lock, so it can never observe the in-between state
     // where commands have left the mailbox but are not yet applied.
-    let commands: Vec<SessionCommand> = {
+    let commands: Vec<(SessionCommand, Option<ReplyTx>)> = {
         let mut mailbox = lock(&cell.mailbox);
         mailbox.drain(..).collect()
     };
     if observed {
         registry.mailbox_depth.sub(commands.len() as u64);
     }
-    for command in commands {
-        apply_command(&mut inner, cell.id, command, registry);
+    for (command, reply) in commands {
+        if command.is_query() {
+            let answer = answer_query(&mut inner, cell.id, &command, registry);
+            if let Some(reply) = reply {
+                let _ = reply.send(answer); // the caller may have given up
+            }
+        } else {
+            apply_command(&mut inner, cell.id, &command, registry);
+        }
     }
     let mut pumped = false;
     if inner.failed.is_none() && inner.remaining_ns > 0 {
@@ -1554,200 +1672,183 @@ fn run_turn(shared: &Shared, cell: &Arc<SessionCell>) {
     }
 }
 
-/// Applies one mailed command to the session. Durable sessions journal
-/// state-affecting commands — stamped with the target time at which
-/// they take effect — so a restarted server can replay them at exactly
-/// the same instants. Only *accepted* commands enter the journal: a
-/// rejected one in the replayable history would deterministically
-/// re-fail every subsequent restore of the session.
+/// Applies one mailed state change to the session. Durable sessions
+/// journal it — stamped with the target time at which it takes effect —
+/// so a restarted server can replay it at exactly the same instant. Only
+/// *accepted* commands enter the journal: a rejected one in the
+/// replayable history would deterministically re-fail every subsequent
+/// restore of the session.
 fn apply_command(
     inner: &mut SessionInner,
     id: SessionId,
-    command: SessionCommand,
+    command: &SessionCommand,
     registry: &MetricsRegistry,
 ) {
-    // `ScheduleSignal` is the one journaled command the session can
-    // reject (unknown label — a client wiring bug). Validate it by
-    // applying it *before* journaling, and journal only on success.
-    if let SessionCommand::ScheduleSignal {
-        time_ns,
-        ref label,
-        value,
-    } = command
-    {
-        let at_ns = inner.session.now_ns();
-        if let Err(e) = inner.session.schedule_signal(time_ns, label, value) {
-            fail(inner, id, &e.to_string());
-            return;
-        }
-        journal_command(inner, id, at_ns, &command, registry);
+    let at_ns = inner.session.now_ns();
+    // `ScheduleSignal` is the one command the session can reject
+    // (unknown label — a client wiring bug): apply it *before*
+    // journaling, and journal only on success. The rest are infallible;
+    // journal them first, so a crash between the two writes leaves the
+    // journal ahead of the session (replay regenerates the effect),
+    // never behind it.
+    let validate_first = matches!(command, SessionCommand::ScheduleSignal { .. });
+    if !validate_first && !journal_command(inner, id, at_ns, command, registry) {
         return;
     }
-    // The remaining journaled commands are infallible; journal them
-    // first, so a crash between the two writes leaves the journal
-    // ahead of the session (replay regenerates the effect), never
-    // behind it.
-    if persist::journaled(&command) {
-        let at_ns = inner.session.now_ns();
-        if !journal_command(inner, id, at_ns, &command, registry) {
+    match command.apply(&mut inner.session) {
+        Ok(budget) => inner.remaining_ns = inner.remaining_ns.saturating_add(budget),
+        Err(e) => {
+            fail(inner, id, &e);
             return;
         }
     }
-    match command {
-        SessionCommand::ScheduleSignal { .. } => {} // applied above
-        SessionCommand::AddBreakpoint { matcher, one_shot } => {
-            inner.session.engine_mut().add_breakpoint(matcher, one_shot);
-        }
-        SessionCommand::ClearBreakpoints => inner.session.engine_mut().clear_breakpoints(),
-        SessionCommand::Step => {
-            inner.session.engine_mut().step();
-        }
-        SessionCommand::Resume => {
-            inner.session.engine_mut().resume();
-        }
-        SessionCommand::RunFor { duration_ns } => {
-            inner.remaining_ns = inner.remaining_ns.saturating_add(duration_ns);
-        }
-        SessionCommand::Snapshot {
-            reply,
-            include_trace,
-        } => match snapshot_of(inner, id, include_trace) {
-            Ok(snapshot) => {
-                let _ = reply.send(snapshot); // client may have given up
-            }
-            // Same policy as FetchRange/ReplayFrom: a trace the store
-            // cannot read back must reach the client as a failure, not
-            // as a silently truncated record.
-            Err(e) => fail(inner, id, &format!("trace history read failed: {e}")),
-        },
-        SessionCommand::FetchRange {
-            t0_ns,
-            t1_ns,
-            reply,
-        } => {
-            let read = (|| {
-                let trace = inner.session.engine().trace();
-                let (lo, hi) = trace.window_bounds(t0_ns, t1_ns)?;
-                let end = hi.min(lo.saturating_add(MAX_FETCH_ENTRIES));
-                let entries = read_bounded(trace, lo, end)?;
-                Ok::<_, StoreError>((lo, hi, entries))
-            })();
-            match read {
-                Ok((lo, hi, entries)) => {
-                    let first = entries.first().map_or(lo, |e| e.seq);
-                    let next = entries.last().map_or(first, |e| e.seq + 1);
-                    let _ = reply.send(TraceSlice {
-                        session: id,
-                        first_seq: first,
-                        complete: next >= hi,
-                        entries,
-                        end_seq: hi,
-                    });
-                }
-                // Fail the session and drop the reply unanswered: the
-                // waiting client observes the failure instead of an
-                // empty window falsely marked complete.
-                Err(e) => fail(inner, id, &format!("trace history read failed: {e}")),
-            }
-        }
-        SessionCommand::ReplayFrom { seq, limit, reply } => {
-            let read = (|| {
-                let trace = inner.session.engine().trace();
-                let len = trace.len() as u64;
-                let cap = if limit == 0 {
-                    MAX_FETCH_ENTRIES
-                } else {
-                    limit.min(MAX_FETCH_ENTRIES)
-                };
-                // Clamp the page's low edge to the eviction floor
-                // *before* sizing it: history below the floor is gone
-                // by policy, and a window computed from the raw `seq`
-                // would end below the floor — an empty, incomplete page
-                // whose continuation point never advances.
-                let lo = seq.max(trace.first_retained_seq());
-                let end = len.min(lo.saturating_add(cap));
-                let entries = read_bounded(trace, lo, end)?;
-                Ok::<_, StoreError>((len, lo, entries))
-            })();
-            match read {
-                Ok((len, lo, entries)) => {
-                    // On a retention-evicted store the page may start
-                    // above the requested `seq` (history below the
-                    // eviction floor is gone); `first_seq` reports
-                    // where it actually starts so clients resume from
-                    // `last().seq + 1`, not from arithmetic on `seq`.
-                    let first = entries.first().map_or(lo, |e| e.seq);
-                    let next = entries.last().map_or(first, |e| e.seq + 1);
-                    let _ = reply.send(TraceSlice {
-                        session: id,
-                        first_seq: first,
-                        complete: next >= len,
-                        entries,
-                        end_seq: len,
-                    });
-                }
-                Err(e) => fail(inner, id, &format!("trace history read failed: {e}")),
-            }
-        }
-        // The time-travel trio runs entirely on a detached replica: a
-        // seek failure is the *request's* failure (bad target, evicted
-        // history, damaged checkpoint chain), reported on the reply
-        // channel — it never fails the live session.
+    if validate_first {
+        journal_command(inner, id, at_ns, command, registry);
+    }
+}
+
+/// Answers one query — the single dispatch site, timed per verb into
+/// the registry's request-latency histograms. The time-travel trio runs
+/// entirely on a detached replica, so its failures are the *request's*
+/// ([`ServerError::Persist`]) and never touch the live session.
+fn answer_query(
+    inner: &mut SessionInner,
+    id: SessionId,
+    query: &SessionCommand,
+    registry: &MetricsRegistry,
+) -> Result<Reply, ServerError> {
+    let started = registry.enabled().then(Instant::now);
+    let seek = |report: SeekReport| Reply::Seek(Box::new(report));
+    let (histogram, answer) = match *query {
+        SessionCommand::Snapshot { include_trace } => (
+            &registry.snapshot_ns,
+            snapshot_of(inner, id, include_trace)
+                .map(Reply::Snapshot)
+                .map_err(|e| history_failed(inner, id, &e)),
+        ),
+        SessionCommand::FetchRange { t0_ns, t1_ns } => (
+            &registry.fetch_range_ns,
+            fetch_range(inner.session.engine().trace(), id, t0_ns, t1_ns)
+                .map(Reply::Trace)
+                .map_err(|e| history_failed(inner, id, &e)),
+        ),
+        SessionCommand::ReplayFrom { seq, limit } => (
+            &registry.replay_from_ns,
+            replay_from(inner.session.engine().trace(), id, seq, limit)
+                .map(Reply::Trace)
+                .map_err(|e| history_failed(inner, id, &e)),
+        ),
         SessionCommand::SeekTo {
             t_ns,
             include_trace,
-            reply,
         } => {
-            let t0 = registry.enabled().then(Instant::now);
             let target = t_ns.min(inner.session.now_ns());
-            let result = seek_to_target(inner, id, registry, target, include_trace);
-            record_elapsed(&registry.seek_to_ns, t0);
-            let _ = reply.send(result);
+            let report = seek_to_target(inner, id, registry, target, include_trace);
+            (
+                &registry.seek_to_ns,
+                report.map(seek).map_err(ServerError::Persist),
+            )
         }
         SessionCommand::StepBack {
             entries,
             include_trace,
-            reply,
         } => {
-            let t0 = registry.enabled().then(Instant::now);
-            let result = step_back_target(inner, entries)
+            let report = step_back_target(inner, entries)
                 .and_then(|target| seek_to_target(inner, id, registry, target, include_trace));
-            record_elapsed(&registry.step_back_ns, t0);
-            let _ = reply.send(result);
+            (
+                &registry.step_back_ns,
+                report.map(seek).map_err(ServerError::Persist),
+            )
         }
-        SessionCommand::ReplayWindow {
-            t0_ns,
-            t1_ns,
-            reply,
-        } => {
-            let started = registry.enabled().then(Instant::now);
-            // The checkpoint must land *strictly before* the window so
-            // every in-window entry (time >= t0) is regenerated by the
-            // replica rather than assumed persisted: an entry the
-            // checkpoint already covers has time <= checkpoint time
-            // < t0 and therefore cannot be part of the window.
-            let target = t1_ns.min(inner.session.now_ns());
-            let result = seek_replica(inner, registry, t0_ns, true, target).and_then(|replica| {
-                let trace = replica.session.engine().trace();
-                let (lo, hi) = trace
-                    .window_bounds(t0_ns, t1_ns)
-                    .map_err(|e| format!("replica window read failed: {e}"))?;
-                let end = hi.min(lo.saturating_add(MAX_FETCH_ENTRIES));
-                let entries = read_bounded(trace, lo, end)
-                    .map_err(|e| format!("replica window read failed: {e}"))?;
-                let first = entries.first().map_or(lo, |e| e.seq);
-                let next = entries.last().map_or(first, |e| e.seq + 1);
-                Ok(TraceSlice {
-                    session: id,
-                    first_seq: first,
-                    complete: next >= hi,
-                    entries,
-                    end_seq: hi,
-                })
-            });
-            record_elapsed(&registry.replay_window_ns, started);
-            let _ = reply.send(result);
-        }
+        SessionCommand::ReplayWindow { t0_ns, t1_ns } => (
+            &registry.replay_window_ns,
+            replay_window(inner, id, registry, t0_ns, t1_ns)
+                .map(Reply::Trace)
+                .map_err(ServerError::Persist),
+        ),
+        _ => unreachable!("state changes are applied, not answered"),
+    };
+    record_elapsed(histogram, started);
+    answer
+}
+
+/// Fails the session over a history read the store cannot serve: the
+/// client sees the failure, never a silently truncated record.
+fn history_failed(inner: &mut SessionInner, id: SessionId, e: &StoreError) -> ServerError {
+    let message = format!("trace history read failed: {e}");
+    fail(inner, id, &message);
+    ServerError::SessionFailed(message)
+}
+
+/// The [`SessionCommand::FetchRange`] page: entries whose event time
+/// falls in `[t0_ns, t1_ns]`, located through the store's time index.
+fn fetch_range(
+    trace: &ExecutionTrace,
+    id: SessionId,
+    t0_ns: u64,
+    t1_ns: u64,
+) -> Result<TraceSlice, StoreError> {
+    let (lo, hi) = trace.window_bounds(t0_ns, t1_ns)?;
+    let end = hi.min(lo.saturating_add(MAX_FETCH_ENTRIES));
+    Ok(trace_page(id, lo, hi, read_bounded(trace, lo, end)?))
+}
+
+/// The [`SessionCommand::ReplayFrom`] page: up to `limit` entries from
+/// sequence number `seq`.
+fn replay_from(
+    trace: &ExecutionTrace,
+    id: SessionId,
+    seq: u64,
+    limit: u64,
+) -> Result<TraceSlice, StoreError> {
+    let len = trace.len() as u64;
+    let cap = if limit == 0 {
+        MAX_FETCH_ENTRIES
+    } else {
+        limit.min(MAX_FETCH_ENTRIES)
+    };
+    // Clamp the page's low edge to the eviction floor *before* sizing
+    // it: history below the floor is gone by policy, and a window
+    // computed from the raw `seq` would end below the floor — an empty,
+    // incomplete page whose continuation point never advances.
+    let lo = seq.max(trace.first_retained_seq());
+    let end = len.min(lo.saturating_add(cap));
+    Ok(trace_page(id, lo, len, read_bounded(trace, lo, end)?))
+}
+
+/// The [`SessionCommand::ReplayWindow`] page, read from a replica
+/// rebuilt from the newest checkpoint *strictly before* the window, so
+/// every in-window entry (time >= t0) is regenerated rather than
+/// assumed persisted: an entry the checkpoint already covers has time
+/// <= checkpoint time < t0 and therefore cannot be part of the window.
+fn replay_window(
+    inner: &SessionInner,
+    id: SessionId,
+    registry: &MetricsRegistry,
+    t0_ns: u64,
+    t1_ns: u64,
+) -> Result<TraceSlice, String> {
+    let target = t1_ns.min(inner.session.now_ns());
+    let replica = seek_replica(inner, registry, t0_ns, true, target)?;
+    let trace = replica.session.engine().trace();
+    let read = fetch_range(trace, id, t0_ns, t1_ns);
+    read.map_err(|e| format!("replica window read failed: {e}"))
+}
+
+/// Packages one page of entries read from `[lo, …)` of a history ending
+/// at `end_seq`. On a retention-evicted store the page may start above
+/// `lo` (history below the eviction floor is gone); `first_seq` reports
+/// where it actually starts, so clients resume from `last().seq + 1`,
+/// not from arithmetic on the request.
+fn trace_page(id: SessionId, lo: u64, end_seq: u64, entries: Vec<TraceEntry>) -> TraceSlice {
+    let first = entries.first().map_or(lo, |e| e.seq);
+    let next = entries.last().map_or(first, |e| e.seq + 1);
+    TraceSlice {
+        session: id,
+        first_seq: first,
+        complete: next >= end_seq,
+        entries,
+        end_seq,
     }
 }
 
@@ -1903,10 +2004,8 @@ fn seek_replica(
         None => (0, 0, None),
     };
     session.resume_trace_store(Box::new(OffsetMemStore::new(base)));
-    // Deterministic replay, mirroring `persist::restore_session`: pump
-    // to each command's application instant, apply it, stop at the
-    // target. `RunFor` only grants budget (the pump below realizes it);
-    // read-only commands are never journaled.
+    // Deterministic replay, as in `persist::restore_session`: pump to
+    // each command's application instant, apply it, stop at the target.
     let mut replayed_commands: u64 = 0;
     for record in records.iter().skip(journal_pos as usize) {
         if record.at_ns > target_ns {
@@ -1918,30 +2017,11 @@ fn seek_replica(
                 .run_for(record.at_ns - now)
                 .map_err(|e| format!("replica replay failed: {e}"))?;
         }
-        match &record.command {
-            SessionCommand::ScheduleSignal {
-                time_ns,
-                label,
-                value,
-            } => {
-                session
-                    .schedule_signal(*time_ns, label, *value)
-                    .map_err(|e| format!("replica stimulus replay failed: {e}"))?;
-            }
-            SessionCommand::AddBreakpoint { matcher, one_shot } => {
-                session
-                    .engine_mut()
-                    .add_breakpoint(matcher.clone(), *one_shot);
-            }
-            SessionCommand::ClearBreakpoints => session.engine_mut().clear_breakpoints(),
-            SessionCommand::Step => {
-                session.engine_mut().step();
-            }
-            SessionCommand::Resume => {
-                session.engine_mut().resume();
-            }
-            _ => {}
-        }
+        // `RunFor` only grants budget: the pump below realizes it.
+        record
+            .command
+            .apply(&mut session)
+            .map_err(|e| format!("replica stimulus replay failed: {e}"))?;
         replayed_commands += 1;
     }
     let now = session.now_ns();

@@ -1,11 +1,12 @@
-//! The wire layer: multiplexed remote attach over TCP (wire v4).
+//! The wire layer: multiplexed remote attach over TCP (wire v6).
 //!
 //! [`WireServer`] fronts a [`DebugServer`]: it accepts TCP connections,
 //! speaks the [`crate::proto`] handshake, and gives each connection
 //! exactly **two** threads regardless of how many sessions it watches —
 //! a **reader** that decodes [`ClientFrame`]s, answers session
-//! directory / metrics queries, and forwards session-addressed commands
-//! to the hosted sessions, and a single **streamer** that drains every
+//! directory / metrics queries, and hands each session-addressed
+//! command to [`crate::SessionHandle::call`] (one call, one reply
+//! frame), and a single **streamer** that drains every
 //! attached session's queue round-robin and writes event frames in
 //! batches under the connection's write lock. A dashboard watching a
 //! 64-session fleet therefore costs one socket and two threads, not 64
@@ -28,8 +29,9 @@
 //! handshake, attaches to any number of sessions
 //! ([`WireClient::attach_many`]), demultiplexes their merged event
 //! stream ([`WireClient::next_event_from`]), polls the server's session
-//! directory ([`WireClient::list_sessions`]), and interleaves commands
-//! with event consumption on a single socket.
+//! directory ([`WireClient::list_sessions`]), and interleaves requests
+//! ([`WireClient::call`] and the typed verbs over it) with event
+//! consumption on a single socket.
 
 use crate::metrics::{
     ConnMetrics, Gauge, MetricsRegistry, MetricsSnapshot, QuarantinedSession, SessionInfo,
@@ -38,9 +40,8 @@ use crate::proto::{
     decode_payload, encode_frame, encode_frame_into, ClientFrame, FrameDecoder, ServerFrame,
 };
 use crate::queue::{EventReceiver, Notify};
-use crate::server::{lock, DebugServer, SessionCommand, SessionId};
-use crate::EngineEvent;
-use crate::SessionSnapshot;
+use crate::server::{lock, DebugServer, Reply, SessionCommand, SessionId};
+use crate::{EngineEvent, SeekReport, SessionSnapshot, TraceSlice};
 use gmdf_analyze::AnalysisReport;
 use serde::Serialize;
 use std::collections::BTreeSet;
@@ -58,11 +59,9 @@ use std::time::{Duration, Instant};
 /// immediately through its [`Notify`] flag.
 const POLL: Duration = Duration::from_millis(20);
 
-/// How long the server waits on a session snapshot before reporting an
-/// error frame to the client.
-const SNAPSHOT_WAIT: Duration = Duration::from_secs(30);
-
-/// Default client-side wait for a command reply.
+/// How long a reply may take: the server's wait on a session query
+/// before it answers with an error frame, and the client's wait for
+/// the replies of calls that take no timeout.
 const REPLY_WAIT: Duration = Duration::from_secs(30);
 
 /// Streamer batch cutoff: once a sweep has encoded this many bytes the
@@ -518,71 +517,34 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
     let closed = Arc::new(AtomicBool::new(false));
     let mut decoder = FrameDecoder::new();
 
+    // A connection-level refusal: one seq-less Error, then the caller
+    // closes the connection.
+    let refuse = |message: String| {
+        let frame = ServerFrame::Error { seq: None, message };
+        let _ = write_frame(&stream, &frame, shutdown, &closed, &tel);
+    };
+
     // Handshake: the first frame must be a version-matched Hello
     // carrying the shared secret, when the server requires one.
     match next_client_frame(&stream, &mut decoder, shutdown, &closed, &tel) {
         ReadOutcome::Frame(ClientFrame::Hello { version, token }) => {
             if version != crate::proto::WIRE_VERSION {
-                let _ = write_frame(
-                    &stream,
-                    &ServerFrame::Error {
-                        seq: None,
-                        message: format!(
-                            "wire version mismatch: server speaks {}, client sent {version}",
-                            crate::proto::WIRE_VERSION
-                        ),
-                    },
-                    shutdown,
-                    &closed,
-                    &tel,
-                );
-                return;
+                return refuse(format!(
+                    "wire version mismatch: server speaks {}, client sent {version}",
+                    crate::proto::WIRE_VERSION
+                ));
             }
             if let Some(required) = server.auth_token() {
                 let presented = token.as_deref().unwrap_or("");
                 if !ct_eq(required.as_bytes(), presented.as_bytes()) {
                     // One generic message for absent and wrong tokens
                     // alike — the reply must not narrate the secret.
-                    let _ = write_frame(
-                        &stream,
-                        &ServerFrame::Error {
-                            seq: None,
-                            message: "authentication failed".to_owned(),
-                        },
-                        shutdown,
-                        &closed,
-                        &tel,
-                    );
-                    return;
+                    return refuse("authentication failed".to_owned());
                 }
             }
         }
-        ReadOutcome::Frame(_) => {
-            let _ = write_frame(
-                &stream,
-                &ServerFrame::Error {
-                    seq: None,
-                    message: "expected Hello as the first frame".to_owned(),
-                },
-                shutdown,
-                &closed,
-                &tel,
-            );
-            return;
-        }
-        ReadOutcome::Malformed(e) => {
-            let _ = write_frame(
-                &stream,
-                &ServerFrame::Error {
-                    seq: None,
-                    message: e,
-                },
-                shutdown,
-                &closed,
-                &tel,
-            );
-            return;
-        }
+        ReadOutcome::Frame(_) => return refuse("expected Hello as the first frame".to_owned()),
+        ReadOutcome::Malformed(e) => return refuse(e),
         ReadOutcome::Stop => return,
     }
 
@@ -622,19 +584,7 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
             // Degraded, not dead: without a streamer this connection
             // cannot honor its contract, so tell the peer and tear down
             // this one connection — never panic the accept path.
-            Err(e) => {
-                let _ = write_frame(
-                    &stream,
-                    &ServerFrame::Error {
-                        seq: None,
-                        message: format!("server cannot stream events: {e}"),
-                    },
-                    shutdown,
-                    &closed,
-                    &tel,
-                );
-                return;
-            }
+            Err(e) => return refuse(format!("server cannot stream events: {e}")),
         }
     };
     let reply = |frame: ServerFrame| {
@@ -738,100 +688,19 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
                 seq,
                 session,
                 command,
-            }) => {
-                let Some(handle) = server.handle(session) else {
-                    reply(ServerFrame::Error {
+            }) => reply(match server.handle(session) {
+                Some(handle) => match handle.call(command, REPLY_WAIT) {
+                    Ok(answer) => ServerFrame::from_reply(seq, answer),
+                    Err(e) => ServerFrame::Error {
                         seq: Some(seq),
-                        message: format!("unknown session {session}"),
-                    });
-                    continue;
-                };
-                match command {
-                    SessionCommand::Snapshot { include_trace, .. } => {
-                        // Re-wire the reply channel (the deserialized
-                        // one is a dangling stand-in) by issuing the
-                        // snapshot through the handle.
-                        let result = if include_trace {
-                            handle.snapshot(SNAPSHOT_WAIT)
-                        } else {
-                            handle.stats(SNAPSHOT_WAIT)
-                        };
-                        match result {
-                            Ok(snapshot) => reply(ServerFrame::Snapshot { seq, snapshot }),
-                            Err(e) => reply(ServerFrame::Error {
-                                seq: Some(seq),
-                                message: e.to_string(),
-                            }),
-                        }
-                    }
-                    // History pages get the same reply re-wiring as
-                    // snapshots: the handle installs a live channel.
-                    SessionCommand::FetchRange { t0_ns, t1_ns, .. } => {
-                        match handle.fetch_range(t0_ns, t1_ns, SNAPSHOT_WAIT) {
-                            Ok(slice) => reply(ServerFrame::Trace { seq, slice }),
-                            Err(e) => reply(ServerFrame::Error {
-                                seq: Some(seq),
-                                message: e.to_string(),
-                            }),
-                        }
-                    }
-                    SessionCommand::ReplayFrom {
-                        seq: from, limit, ..
-                    } => match handle.replay_from(from, limit, SNAPSHOT_WAIT) {
-                        Ok(slice) => reply(ServerFrame::Trace { seq, slice }),
-                        Err(e) => reply(ServerFrame::Error {
-                            seq: Some(seq),
-                            message: e.to_string(),
-                        }),
+                        message: e.to_string(),
                     },
-                    SessionCommand::SeekTo {
-                        t_ns,
-                        include_trace,
-                        ..
-                    } => match handle.seek_to(t_ns, include_trace, SNAPSHOT_WAIT) {
-                        Ok(report) => reply(ServerFrame::Seek {
-                            seq,
-                            report: Box::new(report),
-                        }),
-                        Err(e) => reply(ServerFrame::Error {
-                            seq: Some(seq),
-                            message: e.to_string(),
-                        }),
-                    },
-                    SessionCommand::StepBack {
-                        entries,
-                        include_trace,
-                        ..
-                    } => match handle.step_back(entries, include_trace, SNAPSHOT_WAIT) {
-                        Ok(report) => reply(ServerFrame::Seek {
-                            seq,
-                            report: Box::new(report),
-                        }),
-                        Err(e) => reply(ServerFrame::Error {
-                            seq: Some(seq),
-                            message: e.to_string(),
-                        }),
-                    },
-                    // A replayed window is served like the other
-                    // history pages: one Trace frame.
-                    SessionCommand::ReplayWindow { t0_ns, t1_ns, .. } => {
-                        match handle.replay_window(t0_ns, t1_ns, SNAPSHOT_WAIT) {
-                            Ok(slice) => reply(ServerFrame::Trace { seq, slice }),
-                            Err(e) => reply(ServerFrame::Error {
-                                seq: Some(seq),
-                                message: e.to_string(),
-                            }),
-                        }
-                    }
-                    other => match handle.send(other) {
-                        Ok(()) => reply(ServerFrame::Ack { seq }),
-                        Err(e) => reply(ServerFrame::Error {
-                            seq: Some(seq),
-                            message: e.to_string(),
-                        }),
-                    },
-                }
-            }
+                },
+                None => ServerFrame::Error {
+                    seq: Some(seq),
+                    message: format!("unknown session {session}"),
+                },
+            }),
             ReadOutcome::Malformed(e) => {
                 // Written before `closed` is set, so the diagnostic
                 // still flushes to a live peer.
@@ -976,7 +845,7 @@ fn event_loop(
 pub struct WireClient {
     stream: TcpStream,
     decoder: FrameDecoder,
-    buffered: std::collections::VecDeque<crate::EngineEvent>,
+    buffered: std::collections::VecDeque<EngineEvent>,
     sessions: Vec<SessionId>,
     quarantined: Vec<QuarantinedSession>,
     /// The currently attached sessions; events from any other session
@@ -1082,8 +951,8 @@ impl WireClient {
     pub fn list_sessions(&mut self, timeout: Duration) -> Result<Vec<SessionInfo>, WireError> {
         let seq = self.next_seq();
         self.write(&ClientFrame::ListSessions { seq })?;
-        self.wait_reply(seq, timeout, "Sessions", move |frame| match frame {
-            ServerFrame::Sessions { seq: s, sessions } if s == seq => Ok(sessions),
+        self.wait_reply(seq, timeout, "Sessions", |frame| match frame {
+            ServerFrame::Sessions { sessions, .. } => Ok(sessions),
             other => Err(other),
         })
     }
@@ -1106,8 +975,8 @@ impl WireClient {
     ) -> Result<AnalysisReport, WireError> {
         let seq = self.next_seq();
         self.write(&ClientFrame::Analyze { seq, session })?;
-        self.wait_reply(seq, timeout, "Analysis", move |frame| match frame {
-            ServerFrame::Analysis { seq: s, report } if s == seq => Ok(*report),
+        self.wait_reply(seq, timeout, "Analysis", |frame| match frame {
+            ServerFrame::Analysis { report, .. } => Ok(*report),
             other => Err(other),
         })
     }
@@ -1122,8 +991,8 @@ impl WireClient {
     pub fn metrics(&mut self, timeout: Duration) -> Result<MetricsSnapshot, WireError> {
         let seq = self.next_seq();
         self.write(&ClientFrame::ListMetrics { seq })?;
-        self.wait_reply(seq, timeout, "Metrics", move |frame| match frame {
-            ServerFrame::Metrics { seq: s, snapshot } if s == seq => Ok(*snapshot),
+        self.wait_reply(seq, timeout, "Metrics", |frame| match frame {
+            ServerFrame::Metrics { snapshot, .. } => Ok(*snapshot),
             other => Err(other),
         })
     }
@@ -1154,15 +1023,7 @@ impl WireClient {
         session: SessionId,
         capacity: Option<u64>,
     ) -> Result<(), WireError> {
-        let seq = self.next_seq();
-        self.write(&ClientFrame::Attach {
-            seq,
-            session,
-            capacity,
-        })?;
-        self.wait_ack(seq)?;
-        self.attached.insert(session);
-        Ok(())
+        self.attach_all(&[(session, capacity)])
     }
 
     /// Attaches to every session in `sessions`, pipelined: all `Attach`
@@ -1175,21 +1036,51 @@ impl WireClient {
     /// [`WireError::Remote`] on the first unknown session, transport
     /// errors otherwise.
     pub fn attach_many(&mut self, sessions: &[SessionId]) -> Result<(), WireError> {
-        let mut seqs = Vec::with_capacity(sessions.len());
-        for &session in sessions {
-            let seq = self.next_seq();
-            self.write(&ClientFrame::Attach {
-                seq,
-                session,
-                capacity: None,
-            })?;
-            seqs.push((seq, session));
+        let requests: Vec<_> = sessions.iter().map(|&session| (session, None)).collect();
+        self.attach_all(&requests)
+    }
+
+    /// Sends one `Attach` per `(session, capacity)` back-to-back, then
+    /// awaits the acknowledgments in order. A session counts as
+    /// attached from the moment its frame goes out: the server
+    /// subscribes before it acks, so the streamer may write the new
+    /// stream's first events ahead of the Ack, and the reply wait keeps
+    /// them. From the first failure on, sessions this call newly
+    /// attached are dropped again, with any events buffered for them.
+    fn attach_all(&mut self, requests: &[(SessionId, Option<u64>)]) -> Result<(), WireError> {
+        // (seq, session, newly attached) per request, in order.
+        let mut pending = Vec::with_capacity(requests.len());
+        let mut acked = 0;
+        let result = 'io: {
+            for &(session, capacity) in requests {
+                let seq = self.next_seq();
+                pending.push((seq, session, self.attached.insert(session)));
+                let frame = ClientFrame::Attach {
+                    seq,
+                    session,
+                    capacity,
+                };
+                if let Err(e) = self.write(&frame) {
+                    break 'io Err(e);
+                }
+            }
+            for &(seq, ..) in &pending {
+                if let Err(e) = self.wait_ack(seq) {
+                    break 'io Err(e);
+                }
+                acked += 1;
+            }
+            Ok(())
+        };
+        if result.is_err() {
+            for &(_, session, fresh) in &pending[acked..] {
+                if fresh {
+                    self.attached.remove(&session);
+                    self.buffered.retain(|event| event.session() != session);
+                }
+            }
         }
-        for (seq, session) in seqs {
-            self.wait_ack(seq)?;
-            self.attached.insert(session);
-        }
-        Ok(())
+        result
     }
 
     /// Detaches from `session`: its events stop flowing (the server
@@ -1210,22 +1101,41 @@ impl WireClient {
         Ok(())
     }
 
-    /// Sends one command to `session` and waits for the acknowledgment
-    /// — valid without an attach. Use [`WireClient::snapshot`] for
-    /// [`SessionCommand::Snapshot`] (it has a dedicated reply).
+    /// Sends one request to `session` and waits up to `timeout` for its
+    /// [`Reply`] — the single remote entry point every typed verb below
+    /// wraps, valid without an attach. State changes answer
+    /// [`Reply::Ack`] once queued; queries answer with their data.
     ///
     /// # Errors
     ///
-    /// [`WireError::Remote`] when the server rejects the command,
-    /// transport errors otherwise.
-    pub fn send(&mut self, session: SessionId, command: SessionCommand) -> Result<(), WireError> {
+    /// [`WireError::Remote`] when the server rejects the request,
+    /// [`WireError::Timeout`] when `timeout` elapses, transport errors
+    /// otherwise.
+    pub fn call(
+        &mut self,
+        session: SessionId,
+        command: SessionCommand,
+        timeout: Duration,
+    ) -> Result<Reply, WireError> {
         let seq = self.next_seq();
         self.write(&ClientFrame::Command {
             seq,
             session,
             command,
         })?;
-        self.wait_ack(seq)
+        self.wait_reply(seq, timeout, "a session reply", ServerFrame::into_reply)
+    }
+
+    /// [`WireClient::call`] for a query, unpacked into its reply type.
+    fn query<T: TryFrom<Reply, Error = Reply>>(
+        &mut self,
+        session: SessionId,
+        command: SessionCommand,
+        timeout: Duration,
+    ) -> Result<T, WireError> {
+        let reply = self.call(session, command, timeout)?;
+        T::try_from(reply)
+            .map_err(|other| WireError::Protocol(format!("mismatched reply {other:?}")))
     }
 
     /// Requests a snapshot of `session` (with the serialized trace when
@@ -1233,28 +1143,14 @@ impl WireClient {
     ///
     /// # Errors
     ///
-    /// [`WireError::Timeout`] when `timeout` elapses, transport or
-    /// remote errors otherwise.
+    /// As [`WireClient::call`].
     pub fn snapshot(
         &mut self,
         session: SessionId,
         include_trace: bool,
         timeout: Duration,
     ) -> Result<SessionSnapshot, WireError> {
-        let (reply, _) = mpsc::channel();
-        let seq = self.next_seq();
-        self.write(&ClientFrame::Command {
-            seq,
-            session,
-            command: SessionCommand::Snapshot {
-                reply,
-                include_trace,
-            },
-        })?;
-        self.wait_reply(seq, timeout, "Snapshot", move |frame| match frame {
-            ServerFrame::Snapshot { seq: s, snapshot } if s == seq => Ok(snapshot),
-            other => Err(other),
-        })
+        self.query(session, SessionCommand::Snapshot { include_trace }, timeout)
     }
 
     /// Requests `session`'s trace entries whose event time falls in
@@ -1263,27 +1159,19 @@ impl WireClient {
     ///
     /// # Errors
     ///
-    /// [`WireError::Timeout`] when `timeout` elapses, transport or
-    /// remote errors otherwise.
+    /// As [`WireClient::call`].
     pub fn fetch_range(
         &mut self,
         session: SessionId,
         t0_ns: u64,
         t1_ns: u64,
         timeout: Duration,
-    ) -> Result<crate::TraceSlice, WireError> {
-        let (reply, _) = mpsc::channel();
-        let seq = self.next_seq();
-        self.write(&ClientFrame::Command {
-            seq,
+    ) -> Result<TraceSlice, WireError> {
+        self.query(
             session,
-            command: SessionCommand::FetchRange {
-                t0_ns,
-                t1_ns,
-                reply,
-            },
-        })?;
-        self.wait_trace(seq, timeout)
+            SessionCommand::FetchRange { t0_ns, t1_ns },
+            timeout,
+        )
     }
 
     /// Requests up to `limit` trace entries of `session` starting at
@@ -1292,31 +1180,21 @@ impl WireClient {
     ///
     /// # Errors
     ///
-    /// [`WireError::Timeout`] when `timeout` elapses, transport or
-    /// remote errors otherwise.
+    /// As [`WireClient::call`].
     pub fn replay_from(
         &mut self,
         session: SessionId,
         seq: u64,
         limit: u64,
         timeout: Duration,
-    ) -> Result<crate::TraceSlice, WireError> {
-        let (reply, _) = mpsc::channel();
-        let request = self.next_seq();
-        self.write(&ClientFrame::Command {
-            seq: request,
-            session,
-            command: SessionCommand::ReplayFrom { seq, limit, reply },
-        })?;
-        self.wait_trace(request, timeout)
+    ) -> Result<TraceSlice, WireError> {
+        self.query(session, SessionCommand::ReplayFrom { seq, limit }, timeout)
     }
 
-    /// Seeks `session`'s history to target time `t_ns`: the server
-    /// restores its nearest persisted checkpoint into a detached
-    /// replica and replays forward — O(checkpoint interval), not
-    /// O(trace length). With `include_trace` the report carries the
-    /// replica's full serialized trace, byte-identical to an
-    /// uninterrupted run's at the same instant.
+    /// Seeks `session`'s history to target time `t_ns` — the remote
+    /// form of [`crate::SessionHandle::seek_to`]. With `include_trace`
+    /// the report carries the replica's full serialized trace,
+    /// byte-identical to an uninterrupted run's at the same instant.
     ///
     /// # Errors
     ///
@@ -1328,19 +1206,12 @@ impl WireClient {
         t_ns: u64,
         include_trace: bool,
         timeout: Duration,
-    ) -> Result<crate::SeekReport, WireError> {
-        let (reply, _) = mpsc::channel();
-        let seq = self.next_seq();
-        self.write(&ClientFrame::Command {
-            seq,
-            session,
-            command: SessionCommand::SeekTo {
-                t_ns,
-                include_trace,
-                reply,
-            },
-        })?;
-        self.wait_seek(seq, timeout)
+    ) -> Result<SeekReport, WireError> {
+        let command = SessionCommand::SeekTo {
+            t_ns,
+            include_trace,
+        };
+        self.query(session, command, timeout)
     }
 
     /// Rewinds `session`'s history `entries` trace entries from the
@@ -1356,26 +1227,18 @@ impl WireClient {
         entries: u64,
         include_trace: bool,
         timeout: Duration,
-    ) -> Result<crate::SeekReport, WireError> {
-        let (reply, _) = mpsc::channel();
-        let seq = self.next_seq();
-        self.write(&ClientFrame::Command {
-            seq,
-            session,
-            command: SessionCommand::StepBack {
-                entries,
-                include_trace,
-                reply,
-            },
-        })?;
-        self.wait_seek(seq, timeout)
+    ) -> Result<SeekReport, WireError> {
+        let command = SessionCommand::StepBack {
+            entries,
+            include_trace,
+        };
+        self.query(session, command, timeout)
     }
 
     /// Requests the trace window `[t0_ns, t1_ns]` regenerated through
-    /// checkpoint-restore + deterministic replay — one bounded
-    /// [`crate::TraceSlice`] page, same contract as
-    /// [`WireClient::fetch_range`], but served even when the live store
-    /// evicted the window's segments.
+    /// checkpoint-restore + deterministic replay — the remote form of
+    /// [`crate::SessionHandle::replay_window`], served even when the
+    /// live store evicted the window's segments.
     ///
     /// # Errors
     ///
@@ -1386,41 +1249,19 @@ impl WireClient {
         t0_ns: u64,
         t1_ns: u64,
         timeout: Duration,
-    ) -> Result<crate::TraceSlice, WireError> {
-        let (reply, _) = mpsc::channel();
-        let seq = self.next_seq();
-        self.write(&ClientFrame::Command {
-            seq,
+    ) -> Result<TraceSlice, WireError> {
+        self.query(
             session,
-            command: SessionCommand::ReplayWindow {
-                t0_ns,
-                t1_ns,
-                reply,
-            },
-        })?;
-        self.wait_trace(seq, timeout)
+            SessionCommand::ReplayWindow { t0_ns, t1_ns },
+            timeout,
+        )
     }
 
-    /// Waits for the [`ServerFrame::Seek`] reply answering `seq`.
-    fn wait_seek(&mut self, seq: u64, timeout: Duration) -> Result<crate::SeekReport, WireError> {
-        self.wait_reply(seq, timeout, "Seek", move |frame| match frame {
-            ServerFrame::Seek { seq: s, report } if s == seq => Ok(*report),
-            other => Err(other),
-        })
-    }
-
-    /// Waits for the [`ServerFrame::Trace`] reply answering `seq`.
-    fn wait_trace(&mut self, seq: u64, timeout: Duration) -> Result<crate::TraceSlice, WireError> {
-        self.wait_reply(seq, timeout, "Trace", move |frame| match frame {
-            ServerFrame::Trace { seq: s, slice } if s == seq => Ok(slice),
-            other => Err(other),
-        })
-    }
-
-    /// The shared reply wait: reads frames until `extract` accepts one,
-    /// buffering interleaved events, skipping stale replies left by
-    /// earlier timed-out requests, and surfacing this request's (or the
-    /// connection's) error.
+    /// The shared reply wait: reads frames until the reply to `seq`
+    /// arrives, buffering interleaved events, skipping stale replies
+    /// left by earlier timed-out requests, and surfacing this request's
+    /// (or the connection's) error. `extract` unpacks the reply, or
+    /// hands back a frame of the wrong kind.
     fn wait_reply<T>(
         &mut self,
         seq: u64,
@@ -1434,25 +1275,21 @@ impl WireClient {
             if remaining.is_zero() {
                 return Err(WireError::Timeout);
             }
-            match extract(self.read_frame(remaining)?) {
-                Ok(reply) => return Ok(reply),
-                Err(ServerFrame::Event { event }) => self.buffered.push_back(event),
-                Err(ServerFrame::Error { seq: Some(s), .. }) if s != seq => {} // stale
-                Err(ServerFrame::Error { message, .. }) => return Err(WireError::Remote(message)),
-                // Stale replies to requests whose caller already gave
-                // up; this request's reply is still coming.
-                Err(
-                    ServerFrame::Ack { .. }
-                    | ServerFrame::Snapshot { .. }
-                    | ServerFrame::Trace { .. }
-                    | ServerFrame::Sessions { .. }
-                    | ServerFrame::Metrics { .. }
-                    | ServerFrame::Seek { .. },
-                ) => {}
-                Err(other) => {
-                    return Err(WireError::Protocol(format!(
-                        "expected {what}, got {other:?}"
-                    )))
+            let frame = self.read_frame(remaining)?;
+            match (frame_seq(&frame), frame) {
+                (None, ServerFrame::Event { event }) => {
+                    if self.wants(&event) {
+                        self.buffered.push_back(event);
+                    }
+                }
+                // A reply whose caller already gave up; this request's
+                // reply is still coming.
+                (Some(s), _) if s != seq => {}
+                (_, ServerFrame::Error { message, .. }) => return Err(WireError::Remote(message)),
+                (_, frame) => {
+                    return extract(frame).map_err(|other| {
+                        WireError::Protocol(format!("expected {what}, got {other:?}"))
+                    })
                 }
             }
         }
@@ -1468,43 +1305,8 @@ impl WireClient {
     ///
     /// [`WireError::Timeout`] when `timeout` elapses first, transport
     /// or remote errors otherwise.
-    pub fn next_event(&mut self, timeout: Duration) -> Result<crate::EngineEvent, WireError> {
-        while let Some(event) = self.buffered.pop_front() {
-            if self.wants(&event) {
-                return Ok(event);
-            }
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(WireError::Timeout);
-            }
-            match self.read_frame(remaining)? {
-                ServerFrame::Event { event } if self.wants(&event) => return Ok(event),
-                // A straggler from a detached session, written around
-                // the detach; not part of any current stream.
-                ServerFrame::Event { .. } => {}
-                // Stray replies from an earlier timed-out request (an
-                // Ack, a Snapshot, a Trace page, or a request-level
-                // Error that arrived after its caller gave up) are not
-                // events; skip them instead of poisoning an otherwise
-                // healthy connection.
-                ServerFrame::Ack { .. }
-                | ServerFrame::Snapshot { .. }
-                | ServerFrame::Trace { .. }
-                | ServerFrame::Sessions { .. }
-                | ServerFrame::Metrics { .. }
-                | ServerFrame::Seek { .. } => {}
-                ServerFrame::Error { seq: Some(_), .. } => {}
-                ServerFrame::Error { message, .. } => return Err(WireError::Remote(message)),
-                other => {
-                    return Err(WireError::Protocol(format!(
-                        "expected Event, got {other:?}"
-                    )))
-                }
-            }
-        }
+    pub fn next_event(&mut self, timeout: Duration) -> Result<EngineEvent, WireError> {
+        self.next_event_where(timeout, |_| true)
     }
 
     /// The next event on `session`'s sub-stream: the per-session demux
@@ -1521,12 +1323,20 @@ impl WireClient {
         &mut self,
         session: SessionId,
         timeout: Duration,
-    ) -> Result<crate::EngineEvent, WireError> {
-        if let Some(pos) = self
-            .buffered
-            .iter()
-            .position(|event| event.session() == session)
-        {
+    ) -> Result<EngineEvent, WireError> {
+        self.next_event_where(timeout, |event| event.session() == session)
+    }
+
+    /// The first attached-session event `pick` accepts: buffered ones
+    /// first, then off the socket, buffering the attached events it
+    /// passes over. Stragglers from detached sessions are dropped, and
+    /// so are stale replies (any frame answering a request).
+    fn next_event_where(
+        &mut self,
+        timeout: Duration,
+        pick: impl Fn(&EngineEvent) -> bool,
+    ) -> Result<EngineEvent, WireError> {
+        if let Some(pos) = self.buffered.iter().position(&pick) {
             return Ok(self.buffered.remove(pos).expect("position is in range"));
         }
         let deadline = Instant::now() + timeout;
@@ -1536,19 +1346,16 @@ impl WireClient {
                 return Err(WireError::Timeout);
             }
             match self.read_frame(remaining)? {
-                ServerFrame::Event { event } if event.session() == session => return Ok(event),
                 ServerFrame::Event { event } if self.wants(&event) => {
+                    if pick(&event) {
+                        return Ok(event);
+                    }
                     self.buffered.push_back(event);
                 }
-                // A straggler from a detached session.
+                // A straggler from a detached session, written around
+                // the detach; not part of any current stream.
                 ServerFrame::Event { .. } => {}
-                ServerFrame::Ack { .. }
-                | ServerFrame::Snapshot { .. }
-                | ServerFrame::Trace { .. }
-                | ServerFrame::Sessions { .. }
-                | ServerFrame::Metrics { .. }
-                | ServerFrame::Seek { .. } => {}
-                ServerFrame::Error { seq: Some(_), .. } => {}
+                frame if frame_seq(&frame).is_some() => {}
                 ServerFrame::Error { message, .. } => return Err(WireError::Remote(message)),
                 other => {
                     return Err(WireError::Protocol(format!(
@@ -1586,16 +1393,17 @@ impl WireClient {
     ///
     /// # Errors
     ///
-    /// See [`WireClient::send`].
+    /// As [`WireClient::call`], waiting up to 30 s for the acknowledgment.
     pub fn run_for(&mut self, session: SessionId, duration_ns: u64) -> Result<(), WireError> {
-        self.send(session, SessionCommand::RunFor { duration_ns })
+        self.call(session, SessionCommand::RunFor { duration_ns }, REPLY_WAIT)
+            .map(drop)
     }
 
     /// Convenience: [`SessionCommand::ScheduleSignal`].
     ///
     /// # Errors
     ///
-    /// See [`WireClient::send`].
+    /// As [`WireClient::run_for`].
     pub fn schedule_signal(
         &mut self,
         session: SessionId,
@@ -1603,55 +1411,58 @@ impl WireClient {
         label: &str,
         value: gmdf_comdes::SignalValue,
     ) -> Result<(), WireError> {
-        self.send(
-            session,
-            SessionCommand::ScheduleSignal {
-                time_ns,
-                label: label.to_owned(),
-                value,
-            },
-        )
+        let label = label.to_owned();
+        let command = SessionCommand::ScheduleSignal {
+            time_ns,
+            label,
+            value,
+        };
+        self.call(session, command, REPLY_WAIT).map(drop)
     }
 
     /// Convenience: [`SessionCommand::AddBreakpoint`].
     ///
     /// # Errors
     ///
-    /// See [`WireClient::send`].
+    /// As [`WireClient::run_for`].
     pub fn add_breakpoint(
         &mut self,
         session: SessionId,
         matcher: gmdf_gdm::CommandMatcher,
         one_shot: bool,
     ) -> Result<(), WireError> {
-        self.send(session, SessionCommand::AddBreakpoint { matcher, one_shot })
+        let command = SessionCommand::AddBreakpoint { matcher, one_shot };
+        self.call(session, command, REPLY_WAIT).map(drop)
     }
 
     /// Convenience: [`SessionCommand::Step`].
     ///
     /// # Errors
     ///
-    /// See [`WireClient::send`].
+    /// As [`WireClient::run_for`].
     pub fn step(&mut self, session: SessionId) -> Result<(), WireError> {
-        self.send(session, SessionCommand::Step)
+        self.call(session, SessionCommand::Step, REPLY_WAIT)
+            .map(drop)
     }
 
     /// Convenience: [`SessionCommand::Resume`].
     ///
     /// # Errors
     ///
-    /// See [`WireClient::send`].
+    /// As [`WireClient::run_for`].
     pub fn resume(&mut self, session: SessionId) -> Result<(), WireError> {
-        self.send(session, SessionCommand::Resume)
+        self.call(session, SessionCommand::Resume, REPLY_WAIT)
+            .map(drop)
     }
 
     /// Convenience: [`SessionCommand::ClearBreakpoints`].
     ///
     /// # Errors
     ///
-    /// See [`WireClient::send`].
+    /// As [`WireClient::run_for`].
     pub fn clear_breakpoints(&mut self, session: SessionId) -> Result<(), WireError> {
-        self.send(session, SessionCommand::ClearBreakpoints)
+        self.call(session, SessionCommand::ClearBreakpoints, REPLY_WAIT)
+            .map(drop)
     }
 
     fn write<T: Serialize>(&mut self, frame: &T) -> Result<(), WireError> {
@@ -1662,7 +1473,7 @@ impl WireClient {
 
     /// `true` if `event` belongs to a currently attached session's
     /// stream.
-    fn wants(&self, event: &crate::EngineEvent) -> bool {
+    fn wants(&self, event: &EngineEvent) -> bool {
         self.attached.contains(&event.session())
     }
 
@@ -1672,8 +1483,8 @@ impl WireClient {
     }
 
     fn wait_ack(&mut self, seq: u64) -> Result<(), WireError> {
-        self.wait_reply(seq, REPLY_WAIT, "Ack", move |frame| match frame {
-            ServerFrame::Ack { seq: s } if s == seq => Ok(()),
+        self.wait_reply(seq, REPLY_WAIT, "Ack", |frame| match frame {
+            ServerFrame::Ack { .. } => Ok(()),
             other => Err(other),
         })
     }

@@ -15,9 +15,8 @@ use gmdf::ActiveChannel;
 use gmdf_codegen::{CommandKind, DebugInfo, EventSpec, Frame};
 use gmdf_comdes::SignalValue;
 use gmdf_gdm::{CommandMatcher, EventKind};
-use gmdf_server::{DebugServer, EngineEvent, ServerConfig, SessionCommand};
+use gmdf_server::{DebugServer, EngineEvent, Reply, ServerConfig, SessionCommand};
 use proptest::prelude::*;
-use std::sync::mpsc;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -172,18 +171,25 @@ proptest! {
         let handle = server.add_session(active_session(blinker_system("prop", 0.002, 1_000_000)));
         let events = handle.subscribe();
         // A snapshot request sprinkled mid-script must also be serviced.
-        let (snap_tx, snap_rx) = mpsc::channel();
+        // It waits on its own thread while the rest of the script is
+        // posted, so it can sit in the mailbox with state changes behind it.
         let mid = script.len() / 2;
-        for (i, command) in script.into_iter().enumerate() {
-            if i == mid {
-                handle
-                    .send(SessionCommand::Snapshot {
-                        reply: snap_tx.clone(),
-                        include_trace: false,
-                    })
-                    .unwrap();
+        let (mid_reply, acks) = std::thread::scope(|scope| {
+            let mut mid_query = None;
+            let mut acks = Vec::new();
+            for (i, command) in script.into_iter().enumerate() {
+                if i == mid {
+                    let handle = &handle;
+                    mid_query = Some(scope.spawn(move || {
+                        handle.call(SessionCommand::Snapshot { include_trace: false }, WAIT)
+                    }));
+                }
+                acks.push(handle.call(command, WAIT));
             }
-            handle.send(command).unwrap();
+            (mid_query.map(|query| query.join().expect("query thread")), acks)
+        });
+        for ack in acks {
+            prop_assert_eq!(ack, Ok(Reply::Ack));
         }
         // Settle: no breakpoints left, engine drained, budget consumed.
         handle.clear_breakpoints().unwrap();
@@ -193,7 +199,7 @@ proptest! {
         prop_assert_eq!(snapshot.remaining_ns, 0);
         prop_assert_eq!(snapshot.pending, 0);
         // The mid-script snapshot arrived.
-        prop_assert!(snap_rx.recv_timeout(WAIT).is_ok());
+        prop_assert!(matches!(mid_reply, Some(Ok(Reply::Snapshot(_)))));
         // Broadcast deltas: dense seq, no drops, no duplicates.
         let mut expected_seq = 0u64;
         for event in events.try_iter() {

@@ -36,7 +36,7 @@ use gmdf_server::{
 };
 use proptest::prelude::*;
 use std::io::{Read, Write};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(60);
@@ -77,25 +77,23 @@ fn arb_command() -> impl Strategy<Value = SessionCommand> {
         Just(SessionCommand::Step),
         Just(SessionCommand::Resume),
         (1u64..u64::MAX / 2).prop_map(|duration_ns| SessionCommand::RunFor { duration_ns }),
-        any::<bool>().prop_map(|include_trace| {
-            let (reply, _) = mpsc::channel();
-            SessionCommand::Snapshot {
-                reply,
+        any::<bool>().prop_map(|include_trace| SessionCommand::Snapshot { include_trace }),
+        (any::<u64>(), any::<u64>())
+            .prop_map(|(t0_ns, t1_ns)| SessionCommand::FetchRange { t0_ns, t1_ns }),
+        (any::<u64>(), 0u64..8192)
+            .prop_map(|(seq, limit)| SessionCommand::ReplayFrom { seq, limit }),
+        (any::<u64>(), any::<bool>()).prop_map(|(t_ns, include_trace)| SessionCommand::SeekTo {
+            t_ns,
+            include_trace
+        }),
+        (any::<u64>(), any::<bool>()).prop_map(|(entries, include_trace)| {
+            SessionCommand::StepBack {
+                entries,
                 include_trace,
             }
         }),
-        (any::<u64>(), any::<u64>()).prop_map(|(t0_ns, t1_ns)| {
-            let (reply, _) = mpsc::channel();
-            SessionCommand::FetchRange {
-                t0_ns,
-                t1_ns,
-                reply,
-            }
-        }),
-        (any::<u64>(), 0u64..8192).prop_map(|(seq, limit)| {
-            let (reply, _) = mpsc::channel();
-            SessionCommand::ReplayFrom { seq, limit, reply }
-        }),
+        (any::<u64>(), any::<u64>())
+            .prop_map(|(t0_ns, t1_ns)| SessionCommand::ReplayWindow { t0_ns, t1_ns }),
     ]
 }
 
