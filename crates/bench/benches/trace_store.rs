@@ -296,7 +296,7 @@ fn bench_time_travel(c: &mut Criterion) {
                 serde_json::from_str(&payload).expect("image parses");
             let mut session = seek_session();
             session.restore_state(&image).expect("restore");
-            session.resume_trace_store(Box::new(gmdf_engine::OffsetMemStore::new(
+            session.resume_trace_store(Box::new(gmdf_engine::MemStore::with_base(
                 image.trace_len(),
             )));
             session.run_for(target_ns - ckpt_t_ns).expect("replay tail");

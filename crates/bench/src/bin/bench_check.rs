@@ -34,14 +34,7 @@ use std::process::ExitCode;
 
 /// Every bench whose persisted `BENCH_<name>.json` artifact CI gates.
 /// `--scan` fails on any root-level bench file not named here.
-const REGISTRY: &[&str] = &[
-    "analyze",
-    "dispatch",
-    "fleet_server",
-    "trace",
-    "wire",
-    "metrics",
-];
+const REGISTRY: &[&str] = &["analyze", "dispatch", "fleet_server", "trace", "wire"];
 
 /// Audits `root` for `BENCH_*.json` files that no gate covers.
 fn scan(root: &std::path::Path) -> ExitCode {

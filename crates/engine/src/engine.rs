@@ -145,14 +145,11 @@ impl DebuggerEngine {
         self.trace = ExecutionTrace::with_store(store);
     }
 
-    /// Attaches (or detaches) a metrics sink on the trace: store appends
-    /// and range reads are timed into it from now on. Call *after* any
+    /// Attaches a metrics sink on the trace: store appends and range
+    /// reads are timed into it from now on. Call *after* any
     /// [`DebuggerEngine::set_trace_store`] — replacing the backend
     /// builds a fresh trace without a sink.
-    pub fn set_trace_metrics(
-        &mut self,
-        metrics: Option<std::sync::Arc<crate::metrics::StoreMetrics>>,
-    ) {
+    pub fn set_trace_metrics(&mut self, metrics: std::sync::Arc<crate::metrics::StoreMetrics>) {
         self.trace.set_metrics(metrics);
     }
 

@@ -60,6 +60,6 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, RecentSeries, St
 pub use replay::{timing_diagram, Replayer};
 pub use store::{
     checkpoint_stride, CheckpointMeta, CheckpointStore, Codec, MaintenanceReport, MemStore,
-    OffsetMemStore, Retention, SegmentConfig, SegmentStore, StoreError, StoreStats, TraceStore,
+    Retention, SegmentConfig, SegmentStore, StoreError, StoreStats, TraceStore,
 };
 pub use trace::{ExecutionTrace, TraceEntry};

@@ -1,6 +1,6 @@
 //! Pluggable trace storage: in-memory and segmented on-disk stores.
 //!
-//! The paper promises that GDM animation "always make[s] a record of the
+//! The paper promises that GDM animation "always make\[s\] a record of the
 //! execution trace"; for long runs that record must not cost O(whole
 //! run) memory or die with the process. [`TraceStore`] abstracts where
 //! [`TraceEntry`]s live; [`MemStore`] is the classic `Vec` (the
@@ -755,8 +755,20 @@ fn unpack_segment(data: &[u8]) -> Option<Vec<u8>> {
 
 /// The classic in-memory trace store: a `Vec` of entries. Fast,
 /// unbounded, gone when the process exits — the default backend.
+///
+/// A store built by [`MemStore::with_base`] numbers its first entry `base`
+/// instead of 0 — the backend a time-travel replica records into. A
+/// replica restored from a checkpoint taken at trace length `base`
+/// regenerates entries `base, base+1, …` by deterministic replay; the
+/// entries below `base` already live in the durable store and are
+/// *not* re-recorded. [`TraceStore::len`] reports `base + stored`,
+/// [`TraceStore::first_retained_seq`] reports `base`, and reads below
+/// `base` clamp up to it, so the replica's trace numbering lines up
+/// exactly with the original run's.
 #[derive(Debug, Default, Clone)]
 pub struct MemStore {
+    /// Sequence number of the first stored entry.
+    base: u64,
     entries: Vec<TraceEntry>,
 }
 
@@ -769,102 +781,25 @@ impl MemStore {
     /// A store pre-filled with `entries` (used when deserializing a
     /// saved trace).
     pub fn from_entries(entries: Vec<TraceEntry>) -> Self {
-        MemStore { entries }
-    }
-}
-
-impl TraceStore for MemStore {
-    fn append(&mut self, entry: TraceEntry) -> Result<(), StoreError> {
-        debug_assert_eq!(entry.seq, self.entries.len() as u64);
-        self.entries.push(entry);
-        Ok(())
+        MemStore { base: 0, entries }
     }
 
-    fn len(&self) -> u64 {
-        self.entries.len() as u64
-    }
-
-    fn read_into(
-        &self,
-        from_seq: u64,
-        to_seq: u64,
-        out: &mut Vec<TraceEntry>,
-    ) -> Result<(), StoreError> {
-        let n = self.entries.len();
-        let from = (from_seq as usize).min(n);
-        let to = (to_seq as usize).min(n);
-        if from < to {
-            out.extend_from_slice(&self.entries[from..to]);
-        }
-        Ok(())
-    }
-
-    fn window_bounds(&self, t0_ns: u64, t1_ns: u64) -> Result<(u64, u64), StoreError> {
-        if t0_ns > t1_ns {
-            return Ok((0, 0));
-        }
-        // Entries are time-ordered, so both boundaries binary-search.
-        let lo = self.entries.partition_point(|e| e.event.time_ns < t0_ns);
-        let hi = self.entries.partition_point(|e| e.event.time_ns <= t1_ns);
-        if lo >= hi {
-            Ok((0, 0))
-        } else {
-            Ok((lo as u64, hi as u64))
-        }
-    }
-
-    fn time_range(&self) -> Option<(u64, u64)> {
-        let first = self.entries.first()?.event.time_ns;
-        let last = self.entries.last()?.event.time_ns;
-        Some((first, last))
-    }
-
-    fn sync(&mut self) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    fn as_slice(&self) -> Option<&[TraceEntry]> {
-        Some(&self.entries)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// OffsetMemStore
-// ---------------------------------------------------------------------------
-
-/// An in-memory trace store whose first entry has sequence number
-/// `base` instead of 0 — the backend a time-travel replica records
-/// into.
-///
-/// A replica restored from a checkpoint taken at trace length `base`
-/// regenerates entries `base, base+1, …` by deterministic replay; the
-/// entries below `base` already live in the durable store and are
-/// *not* re-recorded. [`TraceStore::len`] reports `base + stored`,
-/// [`TraceStore::first_retained_seq`] reports `base`, and reads below
-/// `base` clamp up to it, so the replica's trace numbering lines up
-/// exactly with the original run's.
-#[derive(Debug, Clone)]
-pub struct OffsetMemStore {
-    base: u64,
-    entries: Vec<TraceEntry>,
-}
-
-impl OffsetMemStore {
     /// An empty store whose next append must carry `seq == base`.
-    pub fn new(base: u64) -> Self {
-        OffsetMemStore {
+    pub fn with_base(base: u64) -> Self {
+        MemStore {
             base,
             entries: Vec::new(),
         }
     }
 
-    /// The fixed offset: sequence number of the first recordable entry.
-    pub fn base(&self) -> u64 {
-        self.base
+    /// Stored-entry index of sequence number `seq`, clamped to the
+    /// stored range.
+    fn index(&self, seq: u64) -> usize {
+        (seq.max(self.base) - self.base).min(self.entries.len() as u64) as usize
     }
 }
 
-impl TraceStore for OffsetMemStore {
+impl TraceStore for MemStore {
     fn append(&mut self, entry: TraceEntry) -> Result<(), StoreError> {
         debug_assert_eq!(entry.seq, self.len());
         self.entries.push(entry);
@@ -881,9 +816,7 @@ impl TraceStore for OffsetMemStore {
         to_seq: u64,
         out: &mut Vec<TraceEntry>,
     ) -> Result<(), StoreError> {
-        let n = self.entries.len();
-        let from = (from_seq.max(self.base) - self.base).min(n as u64) as usize;
-        let to = (to_seq.max(self.base) - self.base).min(n as u64) as usize;
+        let (from, to) = (self.index(from_seq), self.index(to_seq));
         if from < to {
             out.extend_from_slice(&self.entries[from..to]);
         }
@@ -894,6 +827,7 @@ impl TraceStore for OffsetMemStore {
         if t0_ns > t1_ns {
             return Ok((0, 0));
         }
+        // Entries are time-ordered, so both boundaries binary-search.
         let lo = self.entries.partition_point(|e| e.event.time_ns < t0_ns);
         let hi = self.entries.partition_point(|e| e.event.time_ns <= t1_ns);
         if lo >= hi {
@@ -2589,8 +2523,8 @@ mod tests {
     }
 
     #[test]
-    fn offset_store_lines_up_with_absolute_numbering() {
-        let mut s = OffsetMemStore::new(100);
+    fn mem_store_with_base_lines_up_with_absolute_numbering() {
+        let mut s = MemStore::with_base(100);
         assert_eq!(s.len(), 100);
         assert_eq!(s.first_retained_seq(), 100);
         assert!(s.is_empty() || s.len() == 100); // no entries yet

@@ -60,8 +60,8 @@ pub struct ExecutionTrace {
     /// owner checks [`ExecutionTrace::error`] (the debug server fails
     /// the session).
     error: Option<String>,
-    /// Store I/O metrics sink, when the embedder turned observability
-    /// on. `None` costs nothing on the hot paths.
+    /// Store I/O metrics sink, attached by an embedder with a registry
+    /// (the debug server); `None` for a standalone trace.
     metrics: Option<Arc<StoreMetrics>>,
 }
 
@@ -156,8 +156,8 @@ impl ExecutionTrace {
     /// Attaches a metrics sink: store appends and range reads are timed
     /// into it from now on. Pass the same `Arc` to every trace whose
     /// I/O should aggregate into one fleet-wide read-out.
-    pub fn set_metrics(&mut self, metrics: Option<Arc<StoreMetrics>>) {
-        self.metrics = metrics;
+    pub fn set_metrics(&mut self, metrics: Arc<StoreMetrics>) {
+        self.metrics = Some(metrics);
     }
 
     /// Storage footprint of the backing store (segment count, on-disk

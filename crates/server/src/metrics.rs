@@ -25,10 +25,7 @@
 //! and [`crate::DebugServer::metrics_text`] (Prometheus-style text
 //! exposition).
 //!
-//! Recording is relaxed-atomic and allocation-free; a registry built
-//! with [`MetricsRegistry::disabled`] skips even that, which is what
-//! the `metrics_overhead` bench compares against to keep the
-//! instrumented pump honest.
+//! Recording is relaxed-atomic and allocation-free.
 
 pub use gmdf_engine::metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, RecentSeries, StoreMetrics,
@@ -142,15 +139,9 @@ impl WireMetrics {
 
 /// The always-on counter bundle the whole server stack records into.
 ///
-/// Constructed once per [`crate::DebugServer`]
-/// ([`ServerConfig::metrics`] controls which flavor) and shared via
-/// `Arc`. All recording sites check [`MetricsRegistry::enabled`] first,
-/// so a disabled registry costs one branch per site.
-///
-/// [`ServerConfig::metrics`]: crate::ServerConfig
+/// Constructed once per [`crate::DebugServer`] and shared via `Arc`.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    enabled: bool,
     /// Monotonic origin for uptime and rate-window timestamps.
     epoch: Instant,
     /// One entry per worker shard.
@@ -176,6 +167,10 @@ pub struct MetricsRegistry {
     pub checkpoint_bytes: Counter,
     /// Checkpoint images loaded back during time-travel seeks.
     pub checkpoint_restores: Counter,
+    /// Checkpoint images a seek skipped because they failed to load,
+    /// decode or parse — each one falls back to an older image (or to
+    /// replay from zero).
+    pub checkpoint_fallbacks: Counter,
     /// Wall nanoseconds per checkpoint file commit (write + fsync +
     /// rename) — the periodic cost a durable session pays for
     /// O(interval) seeks.
@@ -206,20 +201,9 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An enabled registry for `workers` shards.
+    /// A registry for `workers` shards.
     pub fn new(workers: usize) -> Self {
-        Self::build(workers, true)
-    }
-
-    /// A registry whose recording sites are skipped — the zero-overhead
-    /// baseline the `metrics_overhead` bench compares against.
-    pub fn disabled() -> Self {
-        Self::build(0, false)
-    }
-
-    fn build(workers: usize, enabled: bool) -> Self {
         MetricsRegistry {
-            enabled,
             epoch: Instant::now(),
             shards: (0..workers).map(|_| ShardMetrics::default()).collect(),
             mailbox_depth: Gauge::new(),
@@ -231,6 +215,7 @@ impl MetricsRegistry {
             checkpoint_images: Counter::new(),
             checkpoint_bytes: Counter::new(),
             checkpoint_restores: Counter::new(),
+            checkpoint_fallbacks: Counter::new(),
             checkpoint_write_ns: Histogram::new(),
             checkpoint_restore_ns: Histogram::new(),
             snapshot_ns: Histogram::new(),
@@ -243,12 +228,6 @@ impl MetricsRegistry {
             wire: WireMetrics::default(),
             events_recent: RecentSeries::new(256),
         }
-    }
-
-    /// `true` when recording sites should record.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Milliseconds since the registry was built — the timestamp base
@@ -285,7 +264,7 @@ pub struct SessionHealth {
     /// process.
     pub uptime_ms: u64,
     /// Wall milliseconds since the last pumped slice; `None` before the
-    /// first slice (or when metrics are disabled).
+    /// first slice.
     pub last_slice_age_ms: Option<u64>,
     /// Target simulation time.
     pub now_ns: u64,
@@ -441,6 +420,9 @@ pub struct FleetMetrics {
     pub checkpoint_bytes: u64,
     /// Checkpoint images loaded back by time-travel seeks.
     pub checkpoint_restores: u64,
+    /// Damaged checkpoint images seeks skipped for an older one.
+    #[serde(default)]
+    pub checkpoint_fallbacks: u64,
     /// Checkpoint file commit latency (write + fsync + rename).
     pub checkpoint_write_ns: HistogramSnapshot,
     /// Checkpoint load latency during seeks (read + parse).
@@ -557,6 +539,7 @@ impl MetricsSnapshot {
         counter("gmdf_checkpoint_images_total", f.checkpoint_images);
         counter("gmdf_checkpoint_bytes", f.checkpoint_bytes);
         counter("gmdf_checkpoint_restores_total", f.checkpoint_restores);
+        counter("gmdf_checkpoint_fallbacks_total", f.checkpoint_fallbacks);
         counter("gmdf_wire_frames_tx_total", f.wire_frames_tx);
         counter("gmdf_wire_frames_rx_total", f.wire_frames_rx);
         counter("gmdf_wire_bytes_tx_total", f.wire_bytes_tx);
@@ -712,6 +695,7 @@ pub(crate) fn fleet_skeleton(registry: &MetricsRegistry) -> FleetMetrics {
         checkpoint_images: registry.checkpoint_images.get(),
         checkpoint_bytes: registry.checkpoint_bytes.get(),
         checkpoint_restores: registry.checkpoint_restores.get(),
+        checkpoint_fallbacks: registry.checkpoint_fallbacks.get(),
         checkpoint_write_ns: registry.checkpoint_write_ns.snapshot(),
         checkpoint_restore_ns: registry.checkpoint_restore_ns.snapshot(),
         snapshot_ns: registry.snapshot_ns.snapshot(),

@@ -166,6 +166,47 @@ pub(crate) fn persisted_ids(root: &Path) -> Vec<u64> {
     ids
 }
 
+/// What [`replay_journal`] re-applied.
+#[derive(Debug, Default)]
+pub(crate) struct Replayed {
+    /// Journal records applied.
+    pub commands: u64,
+    /// Model events fed while pumping up to each record's instant.
+    pub events_fed: u64,
+    /// Run budget the applied records granted, summed.
+    pub budget_ns: u64,
+}
+
+/// Deterministic journal replay: pumps `session` to each record's
+/// application instant and applies the record there, stopping before the
+/// first record stamped after `until_ns`. Restore replays the whole
+/// journal (`u64::MAX`); a time-travel seek replays from its
+/// checkpoint's journal position up to its target instant. A replayed
+/// `RunFor` only grants budget — the caller decides whether to pump it.
+pub(crate) fn replay_journal(
+    session: &mut DebugSession,
+    records: &[JournalRecord],
+    until_ns: u64,
+) -> Result<Replayed, String> {
+    let mut replayed = Replayed::default();
+    for record in records.iter().take_while(|r| r.at_ns <= until_ns) {
+        let now = session.now_ns();
+        if record.at_ns > now {
+            let report = session
+                .run_for(record.at_ns - now)
+                .map_err(|e| format!("replay pump failed: {e}"))?;
+            replayed.events_fed += report.events_fed as u64;
+        }
+        let budget = record
+            .command
+            .apply(session)
+            .map_err(|e| format!("replay stimulus failed: {e}"))?;
+        replayed.budget_ns = replayed.budget_ns.saturating_add(budget);
+        replayed.commands += 1;
+    }
+    Ok(replayed)
+}
+
 /// A session rebuilt from its persisted state, ready to hand to the
 /// scheduler.
 #[derive(Debug)]
@@ -240,26 +281,10 @@ pub(crate) fn restore_session(
         records = recovered;
     }
 
-    // Deterministic replay: pump to each command's application instant,
-    // apply it, and tally the total granted run budget.
     let journal_len = records.len() as u64;
-    let mut total_budget_ns: u64 = 0;
-    let mut events_fed: u64 = 0;
-    for record in records {
-        let now = session.now_ns();
-        if record.at_ns > now {
-            let report = session
-                .run_for(record.at_ns - now)
-                .map_err(|e| format!("session {id}: replay pump failed: {e}"))?;
-            events_fed += report.events_fed as u64;
-        }
-        let budget = record
-            .command
-            .apply(&mut session)
-            .map_err(|e| format!("session {id}: replay stimulus failed: {e}"))?;
-        total_budget_ns = total_budget_ns.saturating_add(budget);
-    }
-    let remaining_ns = total_budget_ns.saturating_sub(session.now_ns());
+    let replayed = replay_journal(&mut session, &records, u64::MAX)
+        .map_err(|e| format!("session {id}: {e}"))?;
+    let remaining_ns = replayed.budget_ns.saturating_sub(session.now_ns());
 
     // Reconstruct the counters from the replayed prefix; the scheduler
     // continues them over the remaining budget.
@@ -279,7 +304,7 @@ pub(crate) fn restore_session(
         notices,
         journal,
         remaining_ns,
-        events_fed,
+        events_fed: replayed.events_fed,
         violations,
         breakpoint_hits,
         trace_cursor,

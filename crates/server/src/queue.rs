@@ -102,8 +102,8 @@ struct Channel {
     /// `State::dropped` so losses outlive this queue (they feed
     /// [`crate::SessionSnapshot::lagged_drops`]).
     lagged: Counter,
-    /// Fleet-wide queued-event gauge, when metrics are enabled.
-    depth: Option<Gauge>,
+    /// Fleet-wide queued-event gauge.
+    depth: Gauge,
     /// External wake hook for consumers multiplexing many queues (the
     /// wire streamer); raised on every push and on sender drop.
     notify: Option<Arc<Notify>>,
@@ -112,15 +112,15 @@ struct Channel {
 /// Creates one subscriber queue for `session` with the given capacity
 /// (`0` = unbounded). Drops are counted into `lagged` (the session's
 /// cumulative counter) in addition to the in-stream `Lagged` report;
-/// `depth` — when present — tracks the queue's current length in the
-/// fleet-wide subscriber-depth gauge; `notify` — when present — is
+/// `depth` tracks the queue's current length in the fleet-wide
+/// subscriber-depth gauge; `notify` — when present — is
 /// raised on every push so a consumer sweeping many queues (the wire
 /// streamer) can sleep on one flag instead of polling each condvar.
 pub(crate) fn channel(
     session: SessionId,
     capacity: usize,
     lagged: Counter,
-    depth: Option<Gauge>,
+    depth: Gauge,
     notify: Option<Arc<Notify>>,
 ) -> (EventSender, EventReceiver) {
     let chan = Arc::new(Channel {
@@ -180,15 +180,11 @@ impl EventSender {
                 };
                 s.dropped += lost;
                 ch.lagged.add(lost);
-                if let Some(depth) = &ch.depth {
-                    depth.dec();
-                }
+                ch.depth.dec();
             }
         }
         s.events.push_back(event);
-        if let Some(depth) = &ch.depth {
-            depth.inc();
-        }
+        ch.depth.inc();
         drop(s);
         ch.cv.notify_one();
         if let Some(notify) = &ch.notify {
@@ -221,9 +217,7 @@ fn take_next(ch: &Channel, s: &mut State) -> Option<EngineEvent> {
     }
     let event = s.events.pop_front();
     if event.is_some() {
-        if let Some(depth) = &ch.depth {
-            depth.dec();
-        }
+        ch.depth.dec();
     }
     event
 }
@@ -321,9 +315,7 @@ impl Drop for EventReceiver {
         s.rx_alive = false;
         // Events still queued will never be taken: release them now so
         // the fleet depth gauge doesn't leak this queue's residue.
-        if let Some(depth) = &self.0.depth {
-            depth.sub(s.events.len() as u64);
-        }
+        self.0.depth.sub(s.events.len() as u64);
         s.events.clear();
         // No cv notify needed: only the receiver waits on the condvar.
     }
@@ -370,7 +362,7 @@ mod tests {
 
     #[test]
     fn unbounded_queue_never_drops() {
-        let (tx, rx) = channel(7, 0, Counter::new(), None, None);
+        let (tx, rx) = channel(7, 0, Counter::new(), Gauge::new(), None);
         for i in 0..1000 {
             assert!(tx.push(idle(i)));
         }
@@ -380,7 +372,7 @@ mod tests {
 
     #[test]
     fn overflow_coalesces_consecutive_trace_deltas() {
-        let (tx, rx) = channel(7, 2, Counter::new(), None, None);
+        let (tx, rx) = channel(7, 2, Counter::new(), Gauge::new(), None);
         assert!(tx.push(delta(0..2)));
         assert!(tx.push(delta(2..4)));
         // Queue full; the next delta merges into the newest one.
@@ -396,7 +388,7 @@ mod tests {
 
     #[test]
     fn overflow_drops_oldest_and_reports_lagged_first() {
-        let (tx, rx) = channel(7, 2, Counter::new(), None, None);
+        let (tx, rx) = channel(7, 2, Counter::new(), Gauge::new(), None);
         assert!(tx.push(idle(0)));
         assert!(tx.push(idle(1)));
         assert!(tx.push(idle(2))); // drops idle(0)
@@ -414,7 +406,7 @@ mod tests {
 
     #[test]
     fn dropped_trace_delta_counts_its_entries() {
-        let (tx, rx) = channel(7, 1, Counter::new(), None, None);
+        let (tx, rx) = channel(7, 1, Counter::new(), Gauge::new(), None);
         assert!(tx.push(delta(0..3)));
         assert!(tx.push(idle(0))); // cannot coalesce → drops the delta
         let got: Vec<_> = rx.try_iter().collect();
@@ -430,7 +422,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_length_never_exceeds_capacity() {
-        let (tx, rx) = channel(7, 4, Counter::new(), None, None);
+        let (tx, rx) = channel(7, 4, Counter::new(), Gauge::new(), None);
         for i in 0..100 {
             assert!(tx.push(idle(i)));
             assert!(rx.len() <= 4);
@@ -439,14 +431,14 @@ mod tests {
 
     #[test]
     fn receiver_drop_unsubscribes() {
-        let (tx, rx) = channel(7, 0, Counter::new(), None, None);
+        let (tx, rx) = channel(7, 0, Counter::new(), Gauge::new(), None);
         drop(rx);
         assert!(!tx.push(idle(0)));
     }
 
     #[test]
     fn sender_drop_disconnects_after_drain() {
-        let (tx, rx) = channel(7, 0, Counter::new(), None, None);
+        let (tx, rx) = channel(7, 0, Counter::new(), Gauge::new(), None);
         assert!(tx.push(idle(0)));
         drop(tx);
         assert!(rx.try_recv().is_ok());
@@ -463,7 +455,13 @@ mod tests {
     #[test]
     fn notify_wakes_on_push_and_is_sticky() {
         let notify = Arc::new(Notify::default());
-        let (tx, rx) = channel(7, 0, Counter::new(), None, Some(Arc::clone(&notify)));
+        let (tx, rx) = channel(
+            7,
+            0,
+            Counter::new(),
+            Gauge::new(),
+            Some(Arc::clone(&notify)),
+        );
         // Raised before the wait: returns immediately (sticky flag).
         assert!(tx.push(idle(0)));
         let start = Instant::now();

@@ -34,7 +34,7 @@ use gmdf_comdes::SignalValue;
 use gmdf_engine::store::DEFAULT_SEGMENT_CAPACITY;
 use gmdf_engine::{
     checkpoint_stride, CheckpointMeta, CheckpointStore, Codec, EngineNotice, ExecutionTrace,
-    MemStore, OffsetMemStore, Retention, SegmentConfig, StoreError, TraceEntry,
+    MemStore, Retention, SegmentConfig, StoreError, TraceEntry,
 };
 use gmdf_gdm::CommandMatcher;
 use serde::{Deserialize, Serialize};
@@ -78,13 +78,6 @@ pub struct ServerConfig {
     /// never grows memory without bound on a stalled consumer.
     /// `0` = legacy unbounded queues (no loss, unbounded memory).
     pub subscriber_capacity: usize,
-    /// Collect runtime metrics (pump timings, queue depths, store and
-    /// wire I/O — see [`crate::metrics`]). On by default; recording is
-    /// relaxed-atomic and stays within noise of an uninstrumented pump
-    /// (the `metrics_overhead` bench gates this). `false` builds a
-    /// [`MetricsRegistry::disabled`] registry and skips every
-    /// recording site.
-    pub metrics: bool,
     /// Shared-secret token wire clients must present in their `Hello`
     /// frame (compared in constant time). `None` = no authentication:
     /// any `Hello` (with or without a token) is accepted. Only the wire
@@ -98,7 +91,6 @@ impl Default for ServerConfig {
             workers: 4,
             slice_ns: 1_000_000,
             subscriber_capacity: 1024,
-            metrics: true,
             auth_token: None,
         }
     }
@@ -518,7 +510,7 @@ struct SessionInner {
     /// [`SessionSnapshot::lagged_drops`]), independent of the metrics
     /// registry.
     lagged: Counter,
-    /// Wall-clock instant of the last pumped slice (metrics only).
+    /// Wall-clock instant of the last pumped slice.
     last_slice: Option<Instant>,
 }
 
@@ -582,8 +574,7 @@ struct Shared {
     next_id: AtomicU64,
     default_slice_ns: u64,
     default_subscriber_capacity: usize,
-    /// The observability registry every layer records into (disabled =
-    /// all recording sites skipped).
+    /// The observability registry every layer records into.
     metrics: Arc<MetricsRegistry>,
     /// Wire-handshake shared secret ([`ServerConfig::auth_token`]).
     auth_token: Option<String>,
@@ -714,11 +705,6 @@ impl DebugServer {
 
     fn boot(config: ServerConfig, persist: Option<PersistConfig>) -> Self {
         let workers = config.workers.max(1);
-        let registry = if config.metrics {
-            MetricsRegistry::new(workers)
-        } else {
-            MetricsRegistry::disabled()
-        };
         let shared = Arc::new(Shared {
             shards: (0..workers)
                 .map(|_| Shard {
@@ -730,7 +716,7 @@ impl DebugServer {
             next_id: AtomicU64::new(0),
             default_slice_ns: config.slice_ns.max(1),
             default_subscriber_capacity: config.subscriber_capacity,
-            metrics: Arc::new(registry),
+            metrics: Arc::new(MetricsRegistry::new(workers)),
             auth_token: config.auth_token,
         });
         let handles = (0..workers)
@@ -862,12 +848,10 @@ impl DebugServer {
         // After `init`: a durable/restored session has already swapped
         // its trace store in, which builds a fresh trace without a
         // metrics sink — attach it last.
-        if self.shared.metrics.enabled() {
-            inner
-                .session
-                .engine_mut()
-                .set_trace_metrics(Some(Arc::clone(&self.shared.metrics.store)));
-        }
+        inner
+            .session
+            .engine_mut()
+            .set_trace_metrics(Arc::clone(&self.shared.metrics.store));
         let resume = inner.remaining_ns > 0;
         let cell = Arc::new(SessionCell {
             id,
@@ -966,9 +950,7 @@ impl DebugServer {
         self.shared.auth_token.as_deref()
     }
 
-    /// The observability registry the server records into. Disabled
-    /// (all-zero) when the server was built with
-    /// [`ServerConfig::metrics`] = `false`.
+    /// The observability registry the server records into.
     pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
         &self.shared.metrics
     }
@@ -976,9 +958,7 @@ impl DebugServer {
     /// The full observability read-out: fleet aggregates from the
     /// registry plus one health row per hosted session (briefly taking
     /// each session's state lock in turn — not a stop-the-world cut)
-    /// and the quarantine list. Works — with zeroed registry-side
-    /// counters — even when metrics are disabled; the session rows come
-    /// from always-on per-session counters.
+    /// and the quarantine list.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let registry = &self.shared.metrics;
         let mut fleet = metrics::fleet_skeleton(registry);
@@ -1143,9 +1123,7 @@ impl SessionHandle {
         // in the gap would decrement first (saturating at zero) and the
         // late increment would stick the gauge one high forever. The
         // inc-first order only ever over-counts transiently.
-        if self.shared.metrics.enabled() {
-            self.shared.metrics.mailbox_depth.inc();
-        }
+        self.shared.metrics.mailbox_depth.inc();
         lock(&self.cell.mailbox).push_back((command, reply));
         if self.shared.enqueue(&self.cell) {
             Ok(())
@@ -1204,11 +1182,7 @@ impl SessionHandle {
         notify: Option<Arc<crate::queue::Notify>>,
     ) -> EventReceiver {
         let mut inner = lock(&self.cell.inner);
-        let depth = self
-            .shared
-            .metrics
-            .enabled()
-            .then(|| self.shared.metrics.subscriber_depth.clone());
+        let depth = self.shared.metrics.subscriber_depth.clone();
         let (tx, rx) = queue::channel(self.cell.id, capacity, inner.lagged.clone(), depth, notify);
         inner.subscribers.push(tx);
         rx
@@ -1576,7 +1550,6 @@ fn compactor_loop(shared: &Shared, sessions: &Mutex<Vec<Arc<SessionCell>>>, inte
 /// publish deltas, and reschedule or park.
 fn run_turn(shared: &Shared, cell: &Arc<SessionCell>) {
     let registry = &*shared.metrics;
-    let observed = registry.enabled();
     let mut inner = lock(&cell.inner);
     // Drain the mailbox only while holding `inner` (lock order
     // inner → mailbox): `wait_idle` checks "mailbox empty" under the
@@ -1586,9 +1559,7 @@ fn run_turn(shared: &Shared, cell: &Arc<SessionCell>) {
         let mut mailbox = lock(&cell.mailbox);
         mailbox.drain(..).collect()
     };
-    if observed {
-        registry.mailbox_depth.sub(commands.len() as u64);
-    }
+    registry.mailbox_depth.sub(commands.len() as u64);
     for (command, reply) in commands {
         if command.is_query() {
             let answer = answer_query(&mut inner, cell.id, &command, registry);
@@ -1602,21 +1573,19 @@ fn run_turn(shared: &Shared, cell: &Arc<SessionCell>) {
     let mut pumped = false;
     if inner.failed.is_none() && inner.remaining_ns > 0 {
         let dt = inner.slice_ns.min(inner.remaining_ns);
-        let slice_t0 = observed.then(Instant::now);
+        let slice_t0 = Instant::now();
         match inner.session.run_slice(dt) {
             Ok(report) => {
                 inner.remaining_ns -= dt;
                 inner.events_fed += report.events_fed as u64;
-                if let Some(t0) = slice_t0 {
-                    let shard = &registry.shards[cell.shard];
-                    shard.slices.inc();
-                    shard.slice_wall_ns.record(t0.elapsed().as_nanos() as u64);
-                    shard.events_per_slice.record(report.events_fed as u64);
-                    registry
-                        .events_recent
-                        .push(registry.now_ms(), report.events_fed as u64);
-                    inner.last_slice = Some(Instant::now());
-                }
+                let shard = &registry.shards[cell.shard];
+                shard.slices.inc();
+                record_elapsed(&shard.slice_wall_ns, slice_t0);
+                shard.events_per_slice.record(report.events_fed as u64);
+                registry
+                    .events_recent
+                    .push(registry.now_ms(), report.events_fed as u64);
+                inner.last_slice = Some(Instant::now());
                 // Push the slice's trace appends out of the process
                 // before telling anyone about them — a process crash
                 // after the broadcast must not lose acknowledged
@@ -1717,7 +1686,7 @@ fn answer_query(
     query: &SessionCommand,
     registry: &MetricsRegistry,
 ) -> Result<Reply, ServerError> {
-    let started = registry.enabled().then(Instant::now);
+    let started = Instant::now();
     let seek = |report: SeekReport| Reply::Seek(Box::new(report));
     let (histogram, answer) = match *query {
         SessionCommand::Snapshot { include_trace } => (
@@ -1897,21 +1866,15 @@ fn maybe_checkpoint(inner: &mut SessionInner, id: SessionId, registry: &MetricsR
         return;
     }
     inner.last_image_len = len;
-    if registry.enabled() {
-        registry.checkpoint_images.inc();
-    }
+    registry.checkpoint_images.inc();
     if commit {
-        let t0 = registry.enabled().then(Instant::now);
+        let t0 = Instant::now();
         match store.commit() {
             Ok(bytes) => {
                 inner.last_checkpoint_len = len;
-                if let Some(t0) = t0 {
-                    registry.checkpoint_writes.inc();
-                    registry.checkpoint_bytes.add(bytes);
-                    registry
-                        .checkpoint_write_ns
-                        .record(t0.elapsed().as_nanos() as u64);
-                }
+                registry.checkpoint_writes.inc();
+                registry.checkpoint_bytes.add(bytes);
+                record_elapsed(&registry.checkpoint_write_ns, t0);
                 // Pin retention: segments at or above the oldest
                 // checkpoint file's position must survive eviction.
                 if let Some(oldest) = store.oldest_file_seq() {
@@ -1925,8 +1888,8 @@ fn maybe_checkpoint(inner: &mut SessionInner, id: SessionId, registry: &MetricsR
 
 /// A detached time-travel replica: an independent session rebuilt at
 /// some past instant from checkpoint + journal replay. Its trace store
-/// is an [`OffsetMemStore`] holding only the regenerated suffix, with
-/// absolute sequence numbers.
+/// is a [`MemStore::with_base`] holding only the regenerated suffix,
+/// with absolute sequence numbers.
 struct SeekReplica {
     session: DebugSession,
     /// Trace length at the restored checkpoint (0 when replaying from
@@ -1968,25 +1931,21 @@ fn seek_replica(
             }
         };
         for meta in store.metas().iter().rev().filter(|m| in_horizon(m)) {
-            let t0 = registry.enabled().then(Instant::now);
-            // A checkpoint that fails to load or parse is skipped, not
-            // fatal: the one before it (or replay-from-zero) serves the
-            // same seek, just more slowly.
-            let Ok(payload) = store.load(meta) else {
+            let t0 = Instant::now();
+            // A checkpoint that fails to load, decode or parse is
+            // skipped and counted, not fatal: the one before it (or
+            // replay-from-zero) serves the same seek, just more slowly.
+            let image = store
+                .load(meta)
+                .ok()
+                .and_then(|payload| String::from_utf8(payload).ok())
+                .and_then(|text| serde_json::from_str::<persist::ServerCheckpoint>(&text).ok());
+            let Some(image) = image else {
+                registry.checkpoint_fallbacks.inc();
                 continue;
             };
-            let Ok(text) = String::from_utf8(payload) else {
-                continue;
-            };
-            let Ok(image) = serde_json::from_str::<persist::ServerCheckpoint>(&text) else {
-                continue;
-            };
-            if let Some(t0) = t0 {
-                registry.checkpoint_restores.inc();
-                registry
-                    .checkpoint_restore_ns
-                    .record(t0.elapsed().as_nanos() as u64);
-            }
+            registry.checkpoint_restores.inc();
+            record_elapsed(&registry.checkpoint_restore_ns, t0);
             restored = Some((*meta, image));
             break;
         }
@@ -2003,50 +1962,37 @@ fn seek_replica(
         }
         None => (0, 0, None),
     };
-    session.resume_trace_store(Box::new(OffsetMemStore::new(base)));
-    // Deterministic replay, as in `persist::restore_session`: pump to
-    // each command's application instant, apply it, stop at the target.
-    let mut replayed_commands: u64 = 0;
-    for record in records.iter().skip(journal_pos as usize) {
-        if record.at_ns > target_ns {
-            break;
-        }
-        let now = session.now_ns();
-        if record.at_ns > now {
-            session
-                .run_for(record.at_ns - now)
-                .map_err(|e| format!("replica replay failed: {e}"))?;
-        }
-        // `RunFor` only grants budget: the pump below realizes it.
-        record
-            .command
-            .apply(&mut session)
-            .map_err(|e| format!("replica stimulus replay failed: {e}"))?;
-        replayed_commands += 1;
-    }
+    session.resume_trace_store(Box::new(MemStore::with_base(base)));
+    let tail = usize::try_from(journal_pos)
+        .ok()
+        .and_then(|pos| records.get(pos..))
+        .ok_or_else(|| {
+            format!(
+                "checkpoint journal position {journal_pos} is past the journal's {} records",
+                records.len()
+            )
+        })?;
+    let replayed = persist::replay_journal(&mut session, tail, target_ns)
+        .map_err(|e| format!("replica {e}"))?;
     let now = session.now_ns();
     if target_ns > now {
         session
             .run_for(target_ns - now)
             .map_err(|e| format!("replica replay failed: {e}"))?;
     }
-    if registry.enabled() {
-        let len = session.engine().trace().len() as u64;
-        registry.replayed_entries.record(len.saturating_sub(base));
-    }
+    let len = session.engine().trace().len() as u64;
+    registry.replayed_entries.record(len.saturating_sub(base));
     Ok(SeekReplica {
         session,
         base,
         checkpoint,
-        replayed_commands,
+        replayed_commands: replayed.commands,
     })
 }
 
-/// Records the wall time since `t0` (taken only when metrics are on).
-fn record_elapsed(histogram: &Histogram, t0: Option<Instant>) {
-    if let Some(t0) = t0 {
-        histogram.record(t0.elapsed().as_nanos() as u64);
-    }
+/// Records the wall time since `t0`.
+fn record_elapsed(histogram: &Histogram, t0: Instant) {
+    histogram.record(t0.elapsed().as_nanos() as u64);
 }
 
 /// Runs a full seek to `target_ns` and packages the result.
@@ -2213,14 +2159,10 @@ fn journal_command(
             // Timed here (not inside `Journal`) so the journal stays a
             // plain file wrapper; the measurement includes the fsync —
             // the dominant cost on a durable session's command path.
-            let t0 = registry.enabled().then(Instant::now);
+            let t0 = Instant::now();
             let result = journal.append(at_ns, command);
-            if let Some(t0) = t0 {
-                registry.journal_appends.inc();
-                registry
-                    .journal_append_ns
-                    .record(t0.elapsed().as_nanos() as u64);
-            }
+            registry.journal_appends.inc();
+            record_elapsed(&registry.journal_append_ns, t0);
             result
         }
         None => return true,

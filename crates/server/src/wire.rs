@@ -252,69 +252,42 @@ enum ReadOutcome {
 }
 
 /// The wire-telemetry handle one connection's reader and streamer
-/// share: `None` when metrics are disabled (every record is one branch),
-/// otherwise the global [`crate::metrics::WireMetrics`] counters plus
-/// this connection's own [`ConnMetrics`] row. Cloned into the streamer
+/// share: the global [`crate::metrics::WireMetrics`] counters plus this
+/// connection's own [`ConnMetrics`] row. Cloned into the streamer
 /// thread; the per-connection row disappears from snapshots when the
 /// last clone drops.
 #[derive(Debug, Clone)]
-struct Telemetry(Option<(Arc<MetricsRegistry>, Arc<ConnMetrics>)>);
+struct Telemetry {
+    registry: Arc<MetricsRegistry>,
+    conn: Arc<ConnMetrics>,
+}
 
 impl Telemetry {
     fn acquire(registry: &Arc<MetricsRegistry>) -> Self {
-        Telemetry(
-            registry
-                .enabled()
-                .then(|| (Arc::clone(registry), registry.wire.register_connection())),
-        )
+        Telemetry {
+            registry: Arc::clone(registry),
+            conn: registry.wire.register_connection(),
+        }
     }
 
     fn frames_rx(&self) {
-        if let Some((reg, conn)) = &self.0 {
-            reg.wire.frames_rx.inc();
-            conn.frames_rx.inc();
-        }
+        self.registry.wire.frames_rx.inc();
+        self.conn.frames_rx.inc();
     }
 
     fn bytes_rx(&self, n: u64) {
-        if let Some((reg, conn)) = &self.0 {
-            reg.wire.bytes_rx.add(n);
-            conn.bytes_rx.add(n);
-        }
+        self.registry.wire.bytes_rx.add(n);
+        self.conn.bytes_rx.add(n);
     }
 
     fn frames_tx(&self, n: u64) {
-        if let Some((reg, conn)) = &self.0 {
-            reg.wire.frames_tx.add(n);
-            conn.frames_tx.add(n);
-        }
+        self.registry.wire.frames_tx.add(n);
+        self.conn.frames_tx.add(n);
     }
 
     fn bytes_tx(&self, n: u64) {
-        if let Some((reg, conn)) = &self.0 {
-            reg.wire.bytes_tx.add(n);
-            conn.bytes_tx.add(n);
-        }
-    }
-
-    /// Events dropped by this connection's queues, observed as the
-    /// streamer delivers their in-stream `Lagged` markers.
-    fn lagged(&self, n: u64) {
-        if let Some((_, conn)) = &self.0 {
-            conn.lagged.add(n);
-        }
-    }
-
-    fn attach_inc(&self) {
-        if let Some((_, conn)) = &self.0 {
-            conn.attached.inc();
-        }
-    }
-
-    fn attach_dec(&self) {
-        if let Some((_, conn)) = &self.0 {
-            conn.attached.dec();
-        }
+        self.registry.wire.bytes_tx.add(n);
+        self.conn.bytes_tx.add(n);
     }
 }
 
@@ -511,9 +484,7 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
     let _ = stream.set_write_timeout(Some(POLL));
     let registry = Arc::clone(server.metrics_registry());
     let tel = Telemetry::acquire(&registry);
-    let _connections = registry
-        .enabled()
-        .then(|| ConnectionGauge::acquire(&registry.wire.connections));
+    let _connections = ConnectionGauge::acquire(&registry.wire.connections);
     let closed = Arc::new(AtomicBool::new(false));
     let mut decoder = FrameDecoder::new();
 
@@ -666,7 +637,7 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
                     notify.notify();
                     reply(ServerFrame::Ack { seq });
                     if attached.insert(session) {
-                        tel.attach_inc();
+                        tel.conn.attached.inc();
                     }
                 }
                 None => reply(ServerFrame::Error {
@@ -680,7 +651,7 @@ fn serve_connection(stream: TcpStream, server: &Arc<DebugServer>, shutdown: &Arc
                 if attached.remove(&session) {
                     let _ = ops_tx.send(StreamOp::Detach(session));
                     notify.notify();
-                    tel.attach_dec();
+                    tel.conn.attached.dec();
                 }
                 reply(ServerFrame::Ack { seq });
             }
@@ -780,7 +751,7 @@ fn event_loop(
                     Ok(event) => {
                         progressed = true;
                         if let EngineEvent::Lagged { dropped, .. } = &event {
-                            tel.lagged(*dropped);
+                            tel.conn.lagged.add(*dropped);
                         }
                         let frame = ServerFrame::Event { event };
                         if encode_frame_into(&frame, &mut json, &mut batch).is_err() {
@@ -792,7 +763,7 @@ fn event_loop(
                                 ServerFrame::Event { event } => event,
                                 _ => unreachable!(),
                             } {
-                                tel.lagged(*dropped);
+                                tel.conn.lagged.add(*dropped);
                             }
                             encode_frame_into(&substitute, &mut json, &mut batch)
                                 .expect("Lagged substitute frame fits");

@@ -954,3 +954,51 @@ fn a_flipped_byte_in_a_file_never_restores_wrong_state() {
     }
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// A committed image damaged on disk while the server runs (so the
+/// file already passed open-time validation) fails its load-time CRC:
+/// the seek skips it for the next older image, counts exactly one
+/// fallback, and still answers byte-identically.
+#[test]
+fn a_payload_damaged_after_open_counts_one_checkpoint_fallback() {
+    let root = tmp_root("fallback");
+    let server = DebugServer::start_persistent(
+        server_config(),
+        PersistConfig::new(&root).with_checkpoint_interval(INTERVAL),
+    )
+    .expect("boots");
+    let handle = server
+        .add_durable_session(&spec_of(tt_system("tt-fallback")))
+        .expect("durable");
+    drive_history(&handle);
+    let files = committed_images(&root, handle.id());
+    let (path, images) = files.last().expect("a committed file").clone();
+    assert!(images.len() > 1, "a multi-image file: {images:?}");
+    let damaged = *images.last().expect("non-empty");
+    let before = handle.seek_to(damaged.t_ns, true, WAIT).expect("seek");
+    assert_eq!(
+        before.checkpoint_seq,
+        Some(damaged.seq),
+        "the intact image anchors the seek"
+    );
+    assert_eq!(server.metrics_snapshot().fleet.checkpoint_fallbacks, 0);
+
+    let mut bytes = std::fs::read(&path).expect("read");
+    bytes[damaged.payload.0] ^= 0x20;
+    std::fs::write(&path, &bytes).expect("damage payload");
+    let after = handle.seek_to(damaged.t_ns, true, WAIT).expect("seek");
+
+    assert_eq!(server.metrics_snapshot().fleet.checkpoint_fallbacks, 1);
+    assert!(server
+        .metrics_text()
+        .contains("\ngmdf_checkpoint_fallbacks_total 1\n"));
+    assert!(
+        after.checkpoint_seq.is_some_and(|seq| seq < damaged.seq),
+        "anchored on {:?}, damaged image at seq {}",
+        after.checkpoint_seq,
+        damaged.seq
+    );
+    assert_eq!(answer(&after), answer(&before), "same answer");
+    drop(server);
+    std::fs::remove_dir_all(&root).ok();
+}

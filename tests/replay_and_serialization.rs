@@ -184,7 +184,7 @@ proptest! {
         slice in prop_oneof![Just(333_333u64), Just(1_000_000u64), Just(7_777_777u64)],
     ) {
         use gmdf_comdes::SignalValue;
-        use gmdf_engine::{ExecutionTrace, MemStore, OffsetMemStore};
+        use gmdf_engine::{ExecutionTrace, MemStore};
 
         let horizon = 50_000_000u64;
         let build = || {
@@ -235,7 +235,7 @@ proptest! {
         let base = round_tripped.trace_len();
         let mut replica = build();
         replica.restore_state(&round_tripped).unwrap();
-        replica.resume_trace_store(Box::new(OffsetMemStore::new(base)));
+        replica.resume_trace_store(Box::new(MemStore::with_base(base)));
         prop_assert_eq!(replica.now_ns(), cut_ns, "clock restored");
         while replica.now_ns() < horizon {
             replica.run_slice(slice.min(horizon - replica.now_ns())).unwrap();
